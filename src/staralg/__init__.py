@@ -90,6 +90,7 @@ from .generators import (
     apply_inverse,
     builtin_generator,
     builtin_names,
+    guard,
     pair_of,
 )
 from .inversion import (
@@ -129,6 +130,7 @@ from .star_complex import (
     from_preimages,
     i_unit,
     one,
+    random_point,
     zero,
 )
 from .star_real import (

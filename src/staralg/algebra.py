@@ -30,8 +30,10 @@ from .star_complex import (
     c_div,
     c_mul,
     c_norm,
+    from_classical,
     from_preimages,
     one,
+    random_point,
     zero,
 )
 from .star_real import StarReal, from_preimage
@@ -122,11 +124,7 @@ def scalar_algebra(pair: GeneratorPair, sample_bound: float = 3.0) -> Algebra:
     """The field itself: multiplication doubles as scalar action."""
 
     def sample(rng: random.Random) -> StarComplex:
-        return from_preimages(
-            pair,
-            rng.uniform(-sample_bound, sample_bound),
-            rng.uniform(-sample_bound, sample_bound),
-        )
+        return random_point(rng, pair, sample_bound)
 
     return Algebra(
         name="scalar",
@@ -302,7 +300,7 @@ def fn_pointwise(kind: str, *operands: Any) -> GridFunction:
 def sup_norm(f: GridFunction) -> StarReal:
     """Largest pointwise modulus, as a beta-line value.
 
-    The max runs on preimage moduli and the result is re-imaged once.
+    The max runs on preimage moduli and only the result is guarded.
     """
     m = max(math.hypot(*v.preimages) for v in f.values)
     return from_preimage(f.domain.pair.beta, m)
@@ -314,15 +312,7 @@ def grid_algebra(dom: GridDomain, sample_bound: float = 3.0) -> Algebra:
 
     def sample(rng: random.Random) -> GridFunction:
         return GridFunction(
-            dom,
-            tuple(
-                from_preimages(
-                    pair,
-                    rng.uniform(-sample_bound, sample_bound),
-                    rng.uniform(-sample_bound, sample_bound),
-                )
-                for _ in dom.points
-            ),
+            dom, tuple(random_point(rng, pair, sample_bound) for _ in dom.points)
         )
 
     return Algebra(
@@ -433,15 +423,7 @@ def polynomial_algebra(
     def sample(rng: random.Random) -> StarPolynomial:
         deg = rng.randint(0, max_sample_degree)
         return StarPolynomial(
-            pair,
-            tuple(
-                from_preimages(
-                    pair,
-                    rng.uniform(-sample_bound, sample_bound),
-                    rng.uniform(-sample_bound, sample_bound),
-                )
-                for _ in range(deg + 1)
-            ),
+            pair, tuple(random_point(rng, pair, sample_bound) for _ in range(deg + 1))
         )
 
     return Algebra(
@@ -591,15 +573,10 @@ def subalgebra_closure_check(
     if not subset.contains(A.zero, tol):
         fail("zero-membership")
 
-    scalar_bound = 3.0
     for _ in range(trials):
         x = subset.sample_member(rng)
         y = subset.sample_member(rng)
-        lam = from_preimages(
-            A.pair,
-            rng.uniform(-scalar_bound, scalar_bound),
-            rng.uniform(-scalar_bound, scalar_bound),
-        )
+        lam = random_point(rng, A.pair)
         if not subset.contains(x, tol):
             fail("sampler-consistency", x=A.describe(x))
             break
@@ -655,11 +632,7 @@ def norm_ball_subset(dom: GridDomain, radius: float = 1.0) -> SubsetSpec:
             peak = target
         scale = target / peak
         return GridFunction(
-            dom,
-            tuple(
-                from_preimages(dom.pair, (v * scale).real, (v * scale).imag)
-                for v in vals
-            ),
+            dom, tuple(from_classical(dom.pair, v * scale) for v in vals)
         )
 
     return SubsetSpec(
@@ -697,13 +670,7 @@ def polynomial_subset(
     def sample_member(rng: random.Random) -> GridFunction:
         deg = rng.randint(0, max_degree)
         p = StarPolynomial(
-            dom.pair,
-            tuple(
-                from_preimages(
-                    dom.pair, rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)
-                )
-                for _ in range(deg + 1)
-            ),
+            dom.pair, tuple(random_point(rng, dom.pair, 2.0) for _ in range(deg + 1))
         )
         return poly_to_grid(p, dom)
 
@@ -729,11 +696,7 @@ def ideal_subset(I: EvaluationIdeal) -> SubsetSpec:
         base = raw[I.index]
         # shifting by the base-point value lands exactly in the ideal
         return GridFunction(
-            I.domain,
-            tuple(
-                from_preimages(I.domain.pair, (v - base).real, (v - base).imag)
-                for v in raw
-            ),
+            I.domain, tuple(from_classical(I.domain.pair, v - base) for v in raw)
         )
 
     return SubsetSpec(

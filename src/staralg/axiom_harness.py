@@ -27,7 +27,16 @@ from .errors import (
 )
 from .generators import GeneratorPair
 from .report import AxiomReport, emit_report, report_to_dict
-from .star_complex import StarComplex, c_add, c_conj, c_div, c_mul, from_preimages, one
+from .star_complex import (
+    StarComplex,
+    c_add,
+    c_conj,
+    c_div,
+    c_mul,
+    from_preimages,
+    one,
+    random_point,
+)
 from .star_real import from_preimage, one_of
 
 __all__ = [
@@ -75,9 +84,7 @@ def _rand_scalar(
     floor: float = 0.0,
 ) -> StarComplex:
     while True:
-        lam = from_preimages(
-            pair, rng.uniform(-bound, bound), rng.uniform(-bound, bound)
-        )
+        lam = random_point(rng, pair, bound)
         if floor <= 0.0 or abs(lam.as_complex) >= floor:
             return lam
 
@@ -114,29 +121,15 @@ def random_sample(
     if kind == "star-real":
         return from_preimage(pair.alpha, rng.uniform(-bound, bound))
     if kind == "star-complex":
-        return from_preimages(
-            pair, rng.uniform(-bound, bound), rng.uniform(-bound, bound)
-        )
+        return random_point(rng, pair, bound)
     if kind == "grid-function":
         dom = domain if domain is not None else make_disk_domain(pair, 2, 8)
         return GridFunction(
-            dom,
-            tuple(
-                from_preimages(
-                    pair, rng.uniform(-bound, bound), rng.uniform(-bound, bound)
-                )
-                for _ in dom.points
-            ),
+            dom, tuple(random_point(rng, pair, bound) for _ in dom.points)
         )
     if kind == "polynomial":
         return StarPolynomial(
-            pair,
-            tuple(
-                from_preimages(
-                    pair, rng.uniform(-bound, bound), rng.uniform(-bound, bound)
-                )
-                for _ in range(degree + 1)
-            ),
+            pair, tuple(random_point(rng, pair, bound) for _ in range(degree + 1))
         )
     raise ValueError(f"unknown sample kind {kind!r}")
 
@@ -474,23 +467,21 @@ def _suite_laws(
     )
 
 
-def run_axiom_suite(
+def _run_trials(
+    laws: list[tuple[str, Callable[[random.Random], "tuple[float, dict] | None"]]],
     suite: str,
-    A: Algebra,
-    trials: int = 500,
-    tol: float = 1e-9,
-    seed: int = 0,
+    pair: GeneratorPair,
+    trials: int,
+    tol: float,
+    seed: int,
+    notes: tuple[str, ...] = (),
 ) -> AxiomReport:
-    """Run one law suite against a carrier.
+    """Evaluate every law on ``trials`` draws from one seeded rng.
 
-    Every law sees ``trials`` fresh random tuples. No early exit on
-    failure: the worst residual over the whole run is reported, along
-    with the first counterexample. A law that raises is recorded as a
-    counterexample with the error text.
-    """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    laws, notes = _suite_laws(suite, A)
+    A law returns (residual, payload), or None when it does not apply.
+    No early exit: the report has the worst residual and the first
+    counterexample. A law that raises StarError fails the run, with the
+    error text as its counterexample."""
     rng = random.Random(seed)
     worst = 0.0
     counterexample: dict[str, Any] | None = None
@@ -498,7 +489,7 @@ def run_axiom_suite(
     for t in range(trials):
         for name, law in laws:
             try:
-                out = law(A, rng, tol)
+                out = law(rng)
             except StarError as e:
                 errored = True
                 if counterexample is None:
@@ -516,17 +507,31 @@ def run_axiom_suite(
                     "residual": residual,
                     **(payload or {}),
                 }
-    passed = (worst <= tol) and not errored
     return AxiomReport(
         suite=suite,
-        pair=A.pair.names,
+        pair=pair.names,
         trials=trials,
         tolerance=tol,
-        passed=passed,
+        passed=(worst <= tol) and not errored,
         worst_residual=worst,
         counterexample=counterexample,
-        notes=tuple(notes),
+        notes=notes,
     )
+
+
+def run_axiom_suite(
+    suite: str,
+    A: Algebra,
+    trials: int = 500,
+    tol: float = 1e-9,
+    seed: int = 0,
+) -> AxiomReport:
+    """Run one law suite against a carrier; see ``_run_trials``."""
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    laws, notes = _suite_laws(suite, A)
+    bound = [(name, lambda rng, law=law: law(A, rng, tol)) for name, law in laws]
+    return _run_trials(bound, suite, A.pair, trials, tol, seed, tuple(notes))
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,9 @@ grammar, the JSON shapes, and the exit codes are stable contracts:
            not applicable or not converged, suite failed, arithmetic
            fell outside a generator's range)
   exit 2   usage error (syntax error, unknown name, z where no point is
-           bound, a base point that is not on the grid)
+           bound, a base point that is not on the grid, a tolerance that
+           is not finite and positive, an expression nested too deeply,
+           a lattice of more than 4096 points)
 
 Output is deterministic: same argv, same bytes.
 """
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Any
 
@@ -53,6 +56,17 @@ from .star_complex import (
 
 __all__ = ["build_parser", "main", "run_command"]
 
+# most radial x angular lattice points: domain construction is quadratic
+# in the count, and twice the benchmark's largest lattice stays fast
+_MAX_GRID_POINTS = 4096
+
+
+def _tolerance(text: str) -> float:
+    tol = float(text)
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite positive number")
+    return tol
+
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
@@ -69,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="evaluation route (default direct)",
     )
     common.add_argument(
-        "--tol", type=float, default=1e-9, help="tolerance (default 1e-9)"
+        "--tol", type=_tolerance, default=1e-9, help="tolerance (default 1e-9)"
     )
     common.add_argument(
         "--seed", type=int, default=0, help="random seed (default 0)"
@@ -193,13 +207,21 @@ def _cmd_eval(args: argparse.Namespace, pair) -> int:
     return 0 if agree else 1
 
 
+def _inverse_matches(inverse: StarComplex, exact: StarComplex, tol: float) -> bool:
+    """|inverse - exact| <= 10 tol |exact|: the series stops at a residual
+    of tol, which bounds the error by |1/x| tol in modulus, not in each
+    component; the factor 10 is margin."""
+    d = inverse.as_complex - exact.as_complex
+    return math.hypot(d.real, d.imag) <= 10.0 * tol * math.hypot(*exact.preimages)
+
+
 def _cmd_invert(args: argparse.Namespace, pair) -> int:
     tree = parse_expr(args.expr)
     x = dual_mode_eval(tree, pair, args.mode)
     A = scalar_algebra(pair)
     rep = neumann_inverse(A, x, tol=args.tol, max_terms=args.max_terms)
     exact = c_div(one(pair), x)
-    matches = approx_eq(rep.inverse, exact, rel=10.0 * args.tol)
+    matches = _inverse_matches(rep.inverse, exact, args.tol)
     doc = {
         "schema_version": 1,
         "command": "invert",
@@ -228,8 +250,17 @@ def _cmd_invert(args: argparse.Namespace, pair) -> int:
     return 0 if ok else 1
 
 
+def _disk_domain(args: argparse.Namespace, pair):
+    if args.radial > 0 and args.radial * args.angular > _MAX_GRID_POINTS:
+        raise ValueError(
+            f"a {args.radial} x {args.angular} lattice exceeds the limit"
+            f" of {_MAX_GRID_POINTS} points"
+        )
+    return make_disk_domain(pair, args.radial, args.angular)
+
+
 def _grid_values(args: argparse.Namespace, pair):
-    dom = make_disk_domain(pair, args.radial, args.angular)
+    dom = _disk_domain(args, pair)
     tree = parse_expr(args.expr)
     values = tuple(
         dual_mode_eval(tree, pair, args.mode, z=p) for p in dom.points
@@ -312,7 +343,7 @@ def _cmd_axioms(args: argparse.Namespace, pair) -> int:
     if args.carrier == "scalar":
         A = scalar_algebra(pair)
     else:
-        A = grid_algebra(make_disk_domain(pair, args.radial, args.angular))
+        A = grid_algebra(_disk_domain(args, pair))
     report = run_axiom_suite(
         args.suite, A, trials=args.trials, tol=args.tol, seed=args.seed
     )

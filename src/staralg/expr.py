@@ -8,6 +8,9 @@ The concrete grammar (stable, documented verbatim in the README):
             | 'conj(' expr ')' | 'norm(' expr ')' | '-' factor | '(' expr ')'
 
 A literal ``(a, b)`` gives the two coordinates as classical preimages.
+Factors nest at most ``MAX_NESTING`` deep: each parenthesis, ``conj(``,
+``norm(`` and unary minus opens one level, which keeps parsing and the
+recursive evaluators well inside Python's recursion limit.
 ``i`` is (0, 1), ``1`` is (1, 0), ``0`` is (0, 0). A leading '(' is a
 literal exactly when an optionally signed number followed by a comma
 comes next; otherwise it groups a subexpression.
@@ -71,6 +74,8 @@ class Binary:
 Node = Union[Lit, Var, Unary, Binary]
 
 _SYM_OPS = {"+": "add", "-": "sub", "*": "mul", "/": "div"}
+
+MAX_NESTING = 200
 
 
 # ---------------------------------------------------------------------------
@@ -137,6 +142,7 @@ class _Parser:
         self.src = src
         self.toks = _tokenize(src)
         self.pos = 0
+        self.depth = 0
 
     def peek(self, ahead: int = 0) -> _Token:
         return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
@@ -209,6 +215,16 @@ class _Parser:
 
     def factor(self) -> Node:
         t = self.peek()
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(
+                f"expression nested more than {MAX_NESTING} levels deep", t.offset
+            )
+        node = self._factor(t)
+        self.depth -= 1
+        return node
+
+    def _factor(self, t: _Token) -> Node:
         if t.kind == "sym" and t.text == "(":
             if self._literal_ahead():
                 self.next()

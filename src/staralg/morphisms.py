@@ -22,9 +22,10 @@ from .algebra import (
     quotient_norm,
     scalar_algebra,
 )
+from .axiom_harness import _rel_dist, _run_trials
 from .errors import MissingInvolutionError, MissingUnitError
 from .report import AxiomReport
-from .star_complex import StarComplex, c_norm, from_preimages
+from .star_complex import StarComplex, c_norm, from_preimages, random_point
 from .star_real import StarReal
 
 __all__ = [
@@ -75,47 +76,6 @@ def evaluation_functional(dom: GridDomain, at: StarComplex) -> HomomorphismHandl
     )
 
 
-def _rel_dist(A: Algebra, u: Any, v: Any) -> float:
-    d = A.distance(u, v)
-    return d / max(1.0, A.norm(u).preimage, A.norm(v).preimage)
-
-
-def _run_trials(
-    h: HomomorphismHandle,
-    laws: list[tuple[str, Callable[[random.Random], tuple[float, dict | None]]]],
-    suite: str,
-    trials: int,
-    tol: float,
-    seed: int,
-    notes: tuple[str, ...] = (),
-) -> AxiomReport:
-    rng = random.Random(seed)
-    worst = 0.0
-    counterexample: dict[str, Any] | None = None
-    for t in range(trials):
-        for name, law in laws:
-            residual, payload = law(rng)
-            if residual > worst:
-                worst = residual
-            if residual > tol and counterexample is None:
-                counterexample = {
-                    "law": name,
-                    "trial": t,
-                    "residual": residual,
-                    **(payload or {}),
-                }
-    return AxiomReport(
-        suite=suite,
-        pair=h.source.pair.names,
-        trials=trials,
-        tolerance=tol,
-        passed=worst <= tol,
-        worst_residual=worst,
-        counterexample=counterexample,
-        notes=notes,
-    )
-
-
 def homomorphism_check(
     h: HomomorphismHandle, trials: int = 500, tol: float = 1e-9, seed: int = 0
 ) -> AxiomReport:
@@ -125,14 +85,9 @@ def homomorphism_check(
     """
     src, tgt, phi = h.source, h.target, h.map
 
-    def rand_scalar(rng: random.Random) -> StarComplex:
-        return from_preimages(
-            src.pair, rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)
-        )
-
     def law_linear(rng):
         x, y = src.sample(rng), src.sample(rng)
-        lam = rand_scalar(rng)
+        lam = random_point(rng, src.pair)
         lhs = phi(src.add(x, src.scalar_mul(lam, y)))
         rhs = tgt.add(phi(x), tgt.scalar_mul(lam, phi(y)))
         return _rel_dist(tgt, lhs, rhs), {
@@ -151,9 +106,9 @@ def homomorphism_check(
         }
 
     report = _run_trials(
-        h,
         [("linear", law_linear), ("multiplicative", law_multiplicative)],
         suite="homomorphism",
+        pair=src.pair,
         trials=trials,
         tol=tol,
         seed=seed,
@@ -181,8 +136,9 @@ def star_homomorphism_check(
         return _rel_dist(tgt, lhs, rhs), {"x": src.describe(x)}
 
     report = _run_trials(
-        h, [("star-intertwines", law_star)],
-        suite="star-homomorphism", trials=trials, tol=tol, seed=seed,
+        [("star-intertwines", law_star)],
+        suite="star-homomorphism", pair=src.pair, trials=trials, tol=tol,
+        seed=seed,
     )
     if report.passed:
         h.star_verified = True
@@ -240,11 +196,6 @@ def kernel_image_closure_check(
     def norm_of_mapped(k) -> float:
         return tgt.norm(phi(k)).preimage
 
-    def rand_scalar(rng: random.Random) -> StarComplex:
-        return from_preimages(
-            src.pair, rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)
-        )
-
     def law_kernel_sampler(rng):
         k = sample_k(rng)
         return norm_of_mapped(k), {"k": src.describe(k)}
@@ -258,7 +209,7 @@ def kernel_image_closure_check(
 
     def law_kernel_scalar(rng):
         k = sample_k(rng)
-        lam = rand_scalar(rng)
+        lam = random_point(rng, src.pair)
         return norm_of_mapped(src.scalar_mul(lam, k)), {
             "k": src.describe(k),
             "scalar": list(lam.preimages),
@@ -313,7 +264,7 @@ def kernel_image_closure_check(
         laws.append(("image-star", law_image_star))
 
     return _run_trials(
-        h, laws, suite="kernel-image-closure",
+        laws, suite="kernel-image-closure", pair=src.pair,
         trials=trials, tol=tol, seed=seed, notes=notes,
     )
 
@@ -363,13 +314,13 @@ def unital_functional_check(
         return max(0.0, nv - nx) / max(1.0, nx), {"x": src.describe(x)}
 
     report = _run_trials(
-        h,
         [
             ("unit-maps-to-one", law_unit_maps_to_one),
             ("invertible-nonvanishing", law_invertible_nonvanishing),
             ("contraction", law_contraction),
         ],
         suite="unital-functional",
+        pair=src.pair,
         trials=trials,
         tol=tol,
         seed=seed,

@@ -1,16 +1,17 @@
 """The two-coordinate field over a generator pair.
 
 A point carries an alpha-line first coordinate and a beta-line second
-coordinate. Addition is componentwise; multiplication, division, and the
-norm follow the classical complex formulas on preimages, re-imaged
-through the pair. The field behaves exactly like the complex numbers
-seen through the two generators, which is what the dual-route evaluator
-checks on every expression.
+coordinate. It is stored as one classical complex number of preimages,
+so every field operation is Python complex arithmetic followed by the
+pair's guard on each coordinate of the result. The field behaves
+exactly like the complex numbers seen through the two generators, which
+is what the dual-route evaluator checks on every expression.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -21,14 +22,15 @@ from .errors import (
     UnboundVariableError,
 )
 from .expr import Binary, Lit, Node, Unary, Var, eval_classical, to_text
-from .generators import GeneratorPair
-from .star_real import StarReal, arith, from_preimage, preimage_close
+from .generators import GeneratorPair, guard
+from .star_real import StarReal, from_preimage, preimage_close
 
 __all__ = [
     "StarComplex",
     "Constants",
     "from_preimages",
     "from_classical",
+    "random_point",
     "c_add",
     "c_sub",
     "c_mul",
@@ -45,48 +47,56 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StarComplex:
-    """A point of the field: two coordinates over the pair's two lines."""
+    """A point of the field: the pair and the classical complex number of
+    its preimages (alpha preimage as the real part, beta preimage as the
+    imaginary part). ``from_preimages`` builds guarded points."""
 
     pair: GeneratorPair
-    a: StarReal
-    b: StarReal
+    value: complex
 
-    def __post_init__(self):
-        if self.a.gen != self.pair.alpha or self.b.gen != self.pair.beta:
-            raise PairMismatchError(
-                "coordinates do not live over the pair"
-                f" ({self.pair.alpha.name}, {self.pair.beta.name})"
-            )
+    @property
+    def a(self) -> StarReal:
+        return from_preimage(self.pair.alpha, self.value.real)
+
+    @property
+    def b(self) -> StarReal:
+        return from_preimage(self.pair.beta, self.value.imag)
 
     @property
     def preimages(self) -> tuple[float, float]:
-        return (self.a.preimage, self.b.preimage)
+        return (self.value.real, self.value.imag)
 
     @property
     def as_complex(self) -> complex:
         """The classical complex number behind the point."""
-        return complex(self.a.preimage, self.b.preimage)
+        return self.value
 
-    def __repr__(self) -> str:
-        pa, pb = self.preimages
-        return (
-            f"StarComplex({self.pair.alpha.name}/{self.pair.beta.name},"
-            f" {pa!r}, {pb!r})"
-        )
+
+def _guarded(pair: GeneratorPair, w: complex) -> StarComplex:
+    guard(pair.alpha, w.real)
+    guard(pair.beta, w.imag)
+    return StarComplex(pair, w)
 
 
 def from_preimages(pair: GeneratorPair, x: float, y: float) -> StarComplex:
     """The point whose coordinates have preimages (x, y)."""
-    return StarComplex(
-        pair, from_preimage(pair.alpha, x), from_preimage(pair.beta, y)
-    )
+    return _guarded(pair, complex(x, y))
 
 
 def from_classical(pair: GeneratorPair, w: complex) -> StarComplex:
     """Image of an ordinary complex number under the pair."""
     return from_preimages(pair, w.real, w.imag)
+
+
+def random_point(
+    rng: random.Random, pair: GeneratorPair, bound: float = 3.0
+) -> StarComplex:
+    """A point with both preimages drawn uniformly from [-bound, bound]."""
+    return from_preimages(
+        pair, rng.uniform(-bound, bound), rng.uniform(-bound, bound)
+    )
 
 
 def _same_pair(z: StarComplex, w: StarComplex) -> None:
@@ -99,49 +109,44 @@ def _same_pair(z: StarComplex, w: StarComplex) -> None:
 def c_add(z: StarComplex, w: StarComplex) -> StarComplex:
     """Componentwise addition on the two lines."""
     _same_pair(z, w)
-    return StarComplex(z.pair, arith("add", z.a, w.a), arith("add", z.b, w.b))
+    return _guarded(z.pair, z.value + w.value)
 
 
 def c_sub(z: StarComplex, w: StarComplex) -> StarComplex:
     _same_pair(z, w)
-    return StarComplex(z.pair, arith("sub", z.a, w.a), arith("sub", z.b, w.b))
+    return _guarded(z.pair, z.value - w.value)
 
 
 def c_neg(z: StarComplex) -> StarComplex:
-    pa, pb = z.preimages
-    return from_preimages(z.pair, -pa, -pb)
+    return _guarded(z.pair, -z.value)
 
 
 def c_mul(z: StarComplex, w: StarComplex) -> StarComplex:
-    """Product: the classical complex product on preimages, re-imaged."""
+    """Product: the classical complex product on preimages."""
     _same_pair(z, w)
-    a1, b1 = z.preimages
-    a2, b2 = w.preimages
-    return from_preimages(z.pair, a1 * a2 - b1 * b2, a1 * b2 + b1 * a2)
+    return _guarded(z.pair, z.value * w.value)
 
 
 def c_div(z: StarComplex, w: StarComplex) -> StarComplex:
-    """Quotient; dividing by the additive zero raises StarDivisionError."""
+    """Quotient; dividing by the additive zero raises StarDivisionError.
+    Python's complex division is scaled (Smith's method), so no
+    intermediate square overflows or underflows at extreme magnitudes."""
     _same_pair(z, w)
-    a, b = z.preimages
-    c, d = w.preimages
-    den = c * c + d * d
-    if den == 0.0:
-        raise StarDivisionError("division by the field's additive zero")
-    return from_preimages(z.pair, (a * c + b * d) / den, (b * c - a * d) / den)
+    try:
+        q = z.value / w.value
+    except ZeroDivisionError:
+        raise StarDivisionError("division by the field's additive zero") from None
+    return _guarded(z.pair, q)
 
 
 def c_conj(z: StarComplex) -> StarComplex:
     """Conjugation: negate the second coordinate."""
-    return StarComplex(
-        z.pair, z.a, from_preimage(z.pair.beta, -z.b.preimage)
-    )
+    return _guarded(z.pair, z.value.conjugate())
 
 
 def c_norm(z: StarComplex) -> StarReal:
     """Modulus as a beta-line value: beta(hypot of the preimages)."""
-    pa, pb = z.preimages
-    return from_preimage(z.pair.beta, math.hypot(pa, pb))
+    return from_preimage(z.pair.beta, math.hypot(z.value.real, z.value.imag))
 
 
 def zero(pair: GeneratorPair) -> StarComplex:
@@ -229,9 +234,9 @@ def dual_mode_eval(
 ) -> StarComplex:
     """Evaluate a tree over the pair by one of two routes.
 
-    "direct" folds the field operations node by node, so every step is a
-    real round trip through the generators. "pullback" evaluates the
-    whole tree classically on preimages and re-images once at the end.
+    "direct" folds the field operations node by node, so every step
+    passes the pair's guard. "pullback" evaluates the whole tree
+    classically on preimages and guards only the result.
     The two must agree to about 1e-9 on preimages; keeping both routes
     alive is the point, so they are never collapsed into one.
     """

@@ -1,26 +1,24 @@
-"""Arithmetic on a single generator's image line.
+"""Arithmetic on a single generator's line.
 
-A StarReal stores the image value together with its generator. All
-operations pull the operands back to preimages, compute classically, and
-re-image the result, so every operation is one honest round trip through
-the generator.
+A StarReal stores its generator and its preimage. Every operation is
+classical arithmetic on preimages, and its result passes the
+generator's guard once, so a value that exists always has a
+representable image. The image itself is computed only when it is read.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Iterator
 
 from .errors import (
-    GeneratorDomainError,
     GeneratorMismatchError,
     GeneratorOverflowError,
     NegativeSqrtError,
     StarDivisionError,
 )
-from .generators import Generator, GeneratorPair, apply_forward, apply_inverse
+from .generators import Generator, GeneratorPair, apply_inverse, guard
 
 __all__ = [
     "StarReal",
@@ -44,35 +42,34 @@ __all__ = [
 _SQRT_CLAMP = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class StarReal:
-    """A value on a generator's image line, stored as the image."""
+    """A value on a generator's line, stored as its preimage.
+
+    ``StarReal(gen, image)`` builds the value from an image: the image is
+    checked against the image interval and inverted once. Arithmetic
+    builds its results with ``from_preimage`` and never inverts.
+    """
 
     gen: Generator
-    image: float
+    preimage: float
 
-    def __post_init__(self):
-        # fail fast on hand-built values outside the image interval
-        if not self.gen.in_range(self.image):
-            raise GeneratorDomainError(
-                f"{self.gen.name}: {self.image!r} is not an image value"
-            )
+    def __init__(self, gen: Generator, image: float):
+        self._set(gen, apply_inverse(gen, image))
 
-    @cached_property
-    def preimage(self) -> float:
-        return apply_inverse(self.gen, self.image)
+    def _set(self, gen: Generator, t: float) -> StarReal:
+        object.__setattr__(self, "gen", gen)
+        object.__setattr__(self, "preimage", t)
+        return self
 
-    def __repr__(self) -> str:
-        return f"StarReal({self.gen.name}, image={self.image!r})"
+    @property
+    def image(self) -> float:
+        return self.gen.forward(self.preimage)
 
 
 def from_preimage(g: Generator, t: float) -> StarReal:
     """The line's value whose preimage is t."""
-    x = StarReal(g, apply_forward(g, t))
-    # seed the cache: t is the preimage by construction, and storing it
-    # beats recomputing inverse(forward(t)), which can drift an ulp
-    x.__dict__["preimage"] = t
-    return x
+    return object.__new__(StarReal)._set(g, guard(g, t))
 
 
 def zero_of(g: Generator) -> StarReal:
@@ -205,9 +202,9 @@ def series_sum(
     """Fold a term stream with the line's addition.
 
     Convergence rule: three consecutive partial-sum preimage deltas of at
-    most ``tol``. Every fold is a real round trip through the generator,
-    so overflow on heavily curved lines is caught and reported rather
-    than silently saturating.
+    most ``tol``. Every partial sum passes the generator's guard, so
+    overflow on heavily curved lines is caught and reported rather than
+    silently saturating.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")

@@ -7,8 +7,8 @@ import sys
 
 import pytest
 
-from staralg import run_command
-from staralg.cli import build_parser, main
+from staralg import from_preimages, pair_of, run_command
+from staralg.cli import _inverse_matches, build_parser, main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 CASES = json.loads((GOLDEN / "cases.json").read_text())
@@ -142,6 +142,44 @@ def test_axioms_text_mode():
     assert "PASS" in out and "overall: ok" in out
 
 
+@pytest.mark.parametrize(
+    "expr, want",
+    [
+        ("(1,0)/(1e200,0)", 1e-200),
+        ("(1e200,0)/(1e200,0)", 1.0),
+        ("(1,0)/(1e-170,0)", 1e170),
+    ],
+)
+def test_division_at_extreme_magnitudes(expr, want):
+    code, out, _ = run(["eval", expr, "--json"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["value"]["a_preimage"] == pytest.approx(want, rel=1e-15, abs=0.0)
+    assert doc["value"]["b_preimage"] == 0.0
+    assert doc["modes_agree"] is True
+
+
+def test_invert_accepts_an_inverse_with_a_small_component():
+    # 1/x = (0.6252, -0.02466): the series converges, and its error is
+    # small against |1/x| but not against the second component alone
+    code, out, _ = run(["invert", "(1.597,0.063)"])
+    assert code == 0
+    assert "matches direct division: yes" in out
+
+
+def test_inverse_comparison_is_modulus_relative():
+    pair = pair_of("identity", "identity")
+    exact = from_preimages(pair, 0.6, -0.02)
+    tol = 1e-9
+    bound = 10.0 * tol * abs(exact.as_complex)
+    # an error of 0.9 times the bound in the small component passes, one
+    # of 1.1 times the bound does not
+    near = from_preimages(pair, 0.6, -0.02 + 0.9 * bound)
+    far = from_preimages(pair, 0.6, -0.02 + 1.1 * bound)
+    assert _inverse_matches(near, exact, tol)
+    assert not _inverse_matches(far, exact, tol)
+
+
 # --- exit codes ------------------------------------------------------------
 
 
@@ -185,6 +223,44 @@ def test_exit_2_on_off_grid_quotient_point():
     code, _, err = run(["quotient", "z", "--at", "(0.3,0.3)"])
     assert code == 2
     assert "not on the grid" in err
+
+
+def _one_error_line(err):
+    return (
+        sum("error:" in line for line in err.splitlines()) == 1
+        and "Traceback" not in err
+    )
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
+def test_exit_2_on_bad_tolerance(tol):
+    for argv in (["eval", "(1,2)"], ["eval", "(1,2)", "--json"],
+                 ["axioms", "--suite", "norm", "--trials", "2", "--json"]):
+        code, out, err = run(argv + ["--tol", tol])
+        assert code == 2
+        assert out == ""
+        assert _one_error_line(err)
+
+
+def test_exit_2_on_deep_nesting():
+    code, out, _ = run(["eval", "(" * 199 + "(1,0)" + ")" * 199])
+    assert code == 0
+    for expr in ("(" * 400 + "(1,0)" + ")" * 400,
+                 "conj(" * 400 + "(1,0)" + ")" * 400,
+                 "-" * 400 + "(1,0)"):
+        code, _, err = run(["eval", "--", expr])
+        assert code == 2
+        assert _one_error_line(err)
+        assert "nested more than 200 levels" in err
+
+
+def test_exit_2_on_oversized_lattice():
+    for argv in (["grid", "z"], ["quotient", "z"],
+                 ["axioms", "--suite", "norm", "--carrier", "grid", "--trials", "1"]):
+        code, _, err = run(argv + ["--radial", "65", "--angular", "64"])
+        assert code == 2
+        assert _one_error_line(err)
+        assert "4096" in err
 
 
 def test_exit_2_on_bad_subcommand():

@@ -10,6 +10,7 @@ from staralg import (
     StarComplex,
     from_preimages,
     c_add,
+    c_div,
     c_norm,
     evaluation_functional,
     fn_add,
@@ -30,6 +31,7 @@ from staralg import (
     scalar_algebra,
     star_homomorphism_check,
     unital_functional_check,
+    zero,
 )
 
 IE = pair_of("identity", "exp")
@@ -109,6 +111,18 @@ def test_broken_map_fails_and_flags_stay_down(dom):
     assert report.counterexample["law"] in ("linear", "multiplicative")
     assert not honest.linear_verified and not honest.multiplicative_verified
     del plain
+
+
+def test_map_that_raises_fails_the_check(dom):
+    # the morphism checks share the axiom harness's trial runner: a law
+    # that raises is a failed law with the error text, not an escape
+    h = evaluation_functional(dom, dom.points[2])
+    h.map = lambda f: c_div(f.values[2], zero(dom.pair))
+    report = homomorphism_check(h, trials=5, seed=6)
+    assert not report.passed
+    assert report.counterexample["law"] == "linear"
+    assert "additive zero" in report.counterexample["error"]
+    assert not h.linear_verified and not h.multiplicative_verified
 
 
 def test_kernel_matches_ideal_membership(dom, phi):

@@ -2,8 +2,10 @@ import math
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from staralg import (
+    GeneratorOverflowError,
     PairMismatchError,
     StarDivisionError,
     approx_eq,
@@ -146,3 +148,28 @@ def test_identity_pair_matches_classical_exactly():
         direct = dual_mode_eval(tree, pair, "direct").as_complex
         classical = eval_classical(tree)
         assert abs(direct - classical) <= 1e-12 * max(1.0, abs(classical))
+
+
+def _extreme(sign, mantissa, exponent):
+    return sign * mantissa * 10.0**exponent
+
+
+_EXTREME = st.builds(
+    _extreme,
+    st.sampled_from((-1.0, 1.0)),
+    st.floats(min_value=1.0, max_value=10.0),
+    st.integers(min_value=-300, max_value=300),
+)
+
+
+@given(_EXTREME, _EXTREME, _EXTREME, _EXTREME)
+def test_c_div_matches_complex_division_at_extreme_magnitudes(a, b, c, d):
+    pair = pair_of("identity", "identity")
+    z, w = complex(a, b), complex(c, d)
+    want = z / w
+    if not (math.isfinite(want.real) and math.isfinite(want.imag)):
+        with pytest.raises(GeneratorOverflowError):
+            c_div(from_classical(pair, z), from_classical(pair, w))
+        return
+    got = c_div(from_classical(pair, z), from_classical(pair, w)).as_complex
+    assert got == want
