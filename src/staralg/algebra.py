@@ -11,26 +11,24 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable
-
-import numpy as np
 
 from .errors import (
     DomainMismatchError,
     MissingInvolutionError,
     MissingUnitError,
 )
-from .generators import GeneratorPair
+from .generators import GeneratorPair, guard_points
 from .report import AxiomReport
 from .star_complex import (
     StarComplex,
+    _same_pair,
     c_add,
     c_conj,
     c_div,
     c_mul,
     c_norm,
-    from_classical,
     from_preimages,
     one,
     random_point,
@@ -147,30 +145,52 @@ def scalar_algebra(pair: GeneratorPair, sample_bound: float = 3.0) -> Algebra:
 # construction noise allowance for the disk-radius and distinctness checks
 _GRID_SLACK = 1e-12
 _POINT_MATCH_TOL = 1e-9
+# Lookup cells have side 2**-28, the smallest power of two of at least
+# twice _POINT_MATCH_TOL. Scaling by a power of two is exact, so a point
+# within the tolerance of w lies in the 2 x 2 block of cells nearest w.
+_CELL_SCALE = 2.0**28
+
+
+def _block(w: complex) -> tuple[tuple[int, int], ...]:
+    """The cell of w, then the other three cells of the 2 x 2 block
+    nearest w."""
+    fx, fy = w.real * _CELL_SCALE, w.imag * _CELL_SCALE
+    cx, cy = math.floor(fx), math.floor(fy)
+    ox = cx - 1 if fx - cx < 0.5 else cx + 1
+    oy = cy - 1 if fy - cy < 0.5 else cy + 1
+    return ((cx, cy), (ox, cy), (cx, oy), (ox, oy))
 
 
 @dataclass(frozen=True)
 class GridDomain:
     """A finite set of distinct field points inside the radius-1/2 disk.
 
-    Always contains the additive zero. Functions on the grid are stored
-    as value tuples aligned with ``points``.
+    Always contains the additive zero. ``preimages`` holds the points'
+    complex preimages, and a dict of cells of side 2**-28 (about 3.7e-9)
+    indexes them, so the distinctness check and ``index_of`` look only at
+    the 2 x 2 cells nearest a point, and construction is linear in the
+    number of points. Functions on the grid are stored as preimage tuples
+    aligned with ``points``.
     """
 
     pair: GeneratorPair
     points: tuple[StarComplex, ...]
+    preimages: tuple[complex, ...] = field(init=False, repr=False, compare=False)
+    _cells: dict[tuple[int, int], list[int]] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if not self.points:
             raise ValueError("a grid needs at least one point")
+        pair = self.pair
         has_origin = False
-        mods = []
         for p in self.points:
-            if p.pair != self.pair:
+            if p.pair is not pair and p.pair != pair:
                 raise DomainMismatchError("grid point over a different pair")
-            m = math.hypot(*p.preimages)
-            mods.append(m)
-            if m > 0.5 + _GRID_SLACK:
+            m = math.hypot(p.value.real, p.value.imag)
+            # written so that a NaN modulus is refused too
+            if not m <= 0.5 + _GRID_SLACK:
                 raise ValueError(
                     f"grid point with preimage modulus {m!r} is outside"
                     " the radius-1/2 disk"
@@ -179,22 +199,44 @@ class GridDomain:
                 has_origin = True
         if not has_origin:
             raise ValueError("the grid must contain the additive zero")
-        n = len(self.points)
-        for i in range(n):
-            zi = self.points[i].as_complex
-            for j in range(i + 1, n):
-                if abs(zi - self.points[j].as_complex) <= _POINT_MATCH_TOL:
-                    raise ValueError(f"grid points {i} and {j} coincide")
+        zs = tuple(p.value for p in self.points)
+        cells: dict[tuple[int, int], list[int]] = {}
+        close = []  # every (i, j) with i < j within the tolerance
+        for j, w in enumerate(zs):
+            block = _block(w)
+            close += [
+                (i, j)
+                for cell in block
+                for i in cells.get(cell, ())
+                if abs(zs[i] - w) <= _POINT_MATCH_TOL
+            ]
+            cells.setdefault(block[0], []).append(j)
+        if close:
+            i, j = min(close)
+            raise ValueError(f"grid points {i} and {j} coincide")
+        object.__setattr__(self, "preimages", zs)
+        object.__setattr__(self, "_cells", cells)
 
     def __len__(self) -> int:
         return len(self.points)
 
     def index_of(self, z: StarComplex) -> int:
-        """Index of the grid point matching z within 1e-9 on preimages."""
-        zc = z.as_complex
-        for i, p in enumerate(self.points):
-            if abs(p.as_complex - zc) <= _POINT_MATCH_TOL:
-                return i
+        """Index of the grid point matching z within 1e-9 on preimages;
+        the lowest such index when several match."""
+        w = z.value
+        # every grid point lies in the unit square, so anything outside
+        # it (NaN and infinities included) is off the grid; the test also
+        # keeps the cell arithmetic finite
+        if abs(w.real) <= 1.0 and abs(w.imag) <= 1.0:
+            zs = self.preimages
+            hits = [
+                i
+                for cell in _block(w)
+                for i in self._cells.get(cell, ())
+                if abs(zs[i] - w) <= _POINT_MATCH_TOL
+            ]
+            if hits:
+                return min(hits)
         raise ValueError(
             f"point with preimages {z.preimages} is not on the grid"
         )
@@ -223,24 +265,60 @@ def make_disk_domain(
     return GridDomain(pair, tuple(pts))
 
 
-@dataclass(frozen=True)
+def _check_length(dom: GridDomain, n: int) -> None:
+    if n != len(dom.points):
+        raise ValueError(f"{n} values for {len(dom.points)} points")
+
+
+def _check_pair(dom: GridDomain, v: StarComplex) -> None:
+    if v.pair is not dom.pair and v.pair != dom.pair:
+        raise DomainMismatchError("value over a different pair")
+
+
+@dataclass(frozen=True, init=False)
 class GridFunction:
-    """A field-valued function on a grid, one value per grid point."""
+    """A field-valued function on a grid, stored as one tuple of complex
+    preimages aligned with the domain's points.
+
+    Every value lives over the domain's pair, so the pair is checked once
+    per function, and a result of the pointwise operations passes one
+    guard over the whole tuple (``generators.guard_points``).
+    ``GridFunction(dom, values)`` takes field points; ``.values`` builds
+    them back when read, and ``at(i)`` builds only the i-th.
+    """
 
     domain: GridDomain
-    values: tuple[StarComplex, ...]
+    preimages: tuple[complex, ...]
 
-    def __post_init__(self):
-        if len(self.values) != len(self.domain.points):
-            raise ValueError(
-                f"{len(self.values)} values for {len(self.domain.points)} points"
-            )
-        for v in self.values:
-            if v.pair != self.domain.pair:
-                raise DomainMismatchError("value over a different pair")
+    def __init__(self, domain: GridDomain, values: tuple[StarComplex, ...]):
+        _check_length(domain, len(values))
+        for v in values:
+            _check_pair(domain, v)
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "preimages", tuple(v.value for v in values))
+
+    @classmethod
+    def of_preimages(
+        cls, domain: GridDomain, zs: tuple[complex, ...]
+    ) -> GridFunction:
+        """The function with preimages zs, after one guard over them all."""
+        _check_length(domain, len(zs))
+        f = object.__new__(cls)
+        object.__setattr__(f, "domain", domain)
+        object.__setattr__(f, "preimages", guard_points(domain.pair, zs))
+        return f
+
+    @property
+    def values(self) -> tuple[StarComplex, ...]:
+        pair = self.domain.pair
+        return tuple(StarComplex(pair, w) for w in self.preimages)
+
+    def at(self, i: int) -> StarComplex:
+        """The value at the i-th grid point."""
+        return StarComplex(self.domain.pair, self.preimages[i])
 
     def value_at(self, z: StarComplex) -> StarComplex:
-        return self.values[self.domain.index_of(z)]
+        return self.at(self.domain.index_of(z))
 
 
 def _same_domain(f: GridFunction, g: GridFunction) -> None:
@@ -249,35 +327,40 @@ def _same_domain(f: GridFunction, g: GridFunction) -> None:
 
 
 def grid_constant(dom: GridDomain, c: StarComplex) -> GridFunction:
-    return GridFunction(dom, tuple(c for _ in dom.points))
+    _check_pair(dom, c)
+    return GridFunction.of_preimages(dom, (c.value,) * len(dom))
 
 
 def coordinate_function(dom: GridDomain) -> GridFunction:
     """The function z -> z."""
-    return GridFunction(dom, dom.points)
+    return GridFunction.of_preimages(dom, dom.preimages)
 
 
 def fn_add(f: GridFunction, g: GridFunction) -> GridFunction:
     _same_domain(f, g)
-    return GridFunction(
-        f.domain, tuple(c_add(u, v) for u, v in zip(f.values, g.values))
+    return GridFunction.of_preimages(
+        f.domain, tuple(u + v for u, v in zip(f.preimages, g.preimages))
     )
 
 
 def fn_scalar_mul(lam: StarComplex, f: GridFunction) -> GridFunction:
-    return GridFunction(f.domain, tuple(c_mul(lam, v) for v in f.values))
+    _same_pair(lam.pair, f.domain.pair)
+    c = lam.value
+    return GridFunction.of_preimages(f.domain, tuple(c * v for v in f.preimages))
 
 
 def fn_mul(f: GridFunction, g: GridFunction) -> GridFunction:
     _same_domain(f, g)
-    return GridFunction(
-        f.domain, tuple(c_mul(u, v) for u, v in zip(f.values, g.values))
+    return GridFunction.of_preimages(
+        f.domain, tuple(u * v for u, v in zip(f.preimages, g.preimages))
     )
 
 
 def fn_involution(f: GridFunction) -> GridFunction:
     """Pointwise conjugation."""
-    return GridFunction(f.domain, tuple(c_conj(v) for v in f.values))
+    return GridFunction.of_preimages(
+        f.domain, tuple(v.conjugate() for v in f.preimages)
+    )
 
 
 def fn_pointwise(kind: str, *operands: Any) -> GridFunction:
@@ -302,7 +385,7 @@ def sup_norm(f: GridFunction) -> StarReal:
 
     The max runs on preimage moduli and only the result is guarded.
     """
-    m = max(math.hypot(*v.preimages) for v in f.values)
+    m = max(math.hypot(w.real, w.imag) for w in f.preimages)
     return from_preimage(f.domain.pair.beta, m)
 
 
@@ -311,8 +394,11 @@ def grid_algebra(dom: GridDomain, sample_bound: float = 3.0) -> Algebra:
     pair = dom.pair
 
     def sample(rng: random.Random) -> GridFunction:
-        return GridFunction(
-            dom, tuple(random_point(rng, pair, sample_bound) for _ in dom.points)
+        # both preimages uniform, drawn in the order random_point draws them
+        b = sample_bound
+        return GridFunction.of_preimages(
+            dom,
+            tuple(complex(rng.uniform(-b, b), rng.uniform(-b, b)) for _ in dom.points),
         )
 
     return Algebra(
@@ -326,7 +412,7 @@ def grid_algebra(dom: GridDomain, sample_bound: float = 3.0) -> Algebra:
         unit=grid_constant(dom, one(pair)),
         involution=fn_involution,
         sample=sample,
-        describe=lambda f: [list(v.preimages) for v in f.values],
+        describe=lambda f: [[w.real, w.imag] for w in f.preimages],
     )
 
 
@@ -465,7 +551,8 @@ def ideal_membership(I: EvaluationIdeal, f: GridFunction, tol: float = 1e-9) -> 
     """Does f vanish at the ideal's base point (within tol on preimages)?"""
     if f.domain is not I.domain and f.domain != I.domain:
         raise DomainMismatchError("function and ideal live over different grids")
-    return math.hypot(*f.values[I.index].preimages) <= tol
+    w = f.preimages[I.index]
+    return math.hypot(w.real, w.imag) <= tol
 
 
 def quotient_norm(f: GridFunction, I: EvaluationIdeal) -> StarReal:
@@ -476,7 +563,7 @@ def quotient_norm(f: GridFunction, I: EvaluationIdeal) -> StarReal:
     """
     if f.domain is not I.domain and f.domain != I.domain:
         raise DomainMismatchError("function and ideal live over different grids")
-    return c_norm(f.values[I.index])
+    return c_norm(f.at(I.index))
 
 
 # ---------------------------------------------------------------------------
@@ -631,9 +718,7 @@ def norm_ball_subset(dom: GridDomain, radius: float = 1.0) -> SubsetSpec:
             vals[0] = complex(target, 0.0)
             peak = target
         scale = target / peak
-        return GridFunction(
-            dom, tuple(from_classical(dom.pair, v * scale) for v in vals)
-        )
+        return GridFunction.of_preimages(dom, tuple(v * scale for v in vals))
 
     return SubsetSpec(
         name=f"sup-norm ball of radius {radius:g}",
@@ -656,13 +741,15 @@ def polynomial_subset(
     on 10+ points do not. Sampled members have degree at most
     ``max_degree`` so that products stay within the fit degree.
     """
-    pts = np.array([p.as_complex for p in dom.points])
+    import numpy as np  # only this probe needs it; importing staralg stays light
+
+    pts = np.array(dom.preimages)
     vander = np.vander(pts, N=fit_degree + 1, increasing=True)
     if len(dom.points) <= fit_degree + 1:
         raise ValueError("grid too small to separate polynomials from the rest")
 
     def contains(f: GridFunction, tol: float) -> bool:
-        vals = np.array([v.as_complex for v in f.values])
+        vals = np.array(f.preimages)
         coef, *_ = np.linalg.lstsq(vander, vals, rcond=None)
         residual = float(np.max(np.abs(vander @ coef - vals)))
         return residual <= max(fit_tol, tol)
@@ -695,9 +782,7 @@ def ideal_subset(I: EvaluationIdeal) -> SubsetSpec:
         ]
         base = raw[I.index]
         # shifting by the base-point value lands exactly in the ideal
-        return GridFunction(
-            I.domain, tuple(from_classical(I.domain.pair, v - base) for v in raw)
-        )
+        return GridFunction.of_preimages(I.domain, tuple(v - base for v in raw))
 
     return SubsetSpec(
         name="functions vanishing at the base point",

@@ -8,9 +8,12 @@ The concrete grammar (stable, documented verbatim in the README):
             | 'conj(' expr ')' | 'norm(' expr ')' | '-' factor | '(' expr ')'
 
 A literal ``(a, b)`` gives the two coordinates as classical preimages.
-Factors nest at most ``MAX_NESTING`` deep: each parenthesis, ``conj(``,
-``norm(`` and unary minus opens one level, which keeps parsing and the
-recursive evaluators well inside Python's recursion limit.
+Expressions nest at most ``MAX_NESTING`` levels deep, counted two ways.
+Each parenthesis, ``conj(``, ``norm(`` and unary minus opens one level
+of factors, which bounds the parser's recursion. Each operator node adds
+one level to the tree, chained ``+ - * /`` included, which bounds the
+recursion of the evaluators and the printer. Both stay well inside
+Python's recursion limit.
 ``i`` is (0, 1), ``1`` is (1, 0), ``0`` is (0, 0). A leading '(' is a
 literal exactly when an optionally signed number followed by a comma
 comes next; otherwise it groups a subexpression.
@@ -187,44 +190,56 @@ class _Parser:
         return v
 
     def parse(self) -> Node:
-        node = self.expr()
+        node, _ = self.expr()
         t = self.peek()
         if t.kind != "end":
             raise ParseError(f"unexpected {t.text!r} after the expression", t.offset)
         return node
 
-    def expr(self) -> Node:
-        node = self.term()
+    # Each method below returns a subtree and its depth in operator nodes.
+
+    def _level(self, depth: int, t: _Token) -> int:
+        """depth itself, or ParseError at t past MAX_NESTING."""
+        if depth > MAX_NESTING:
+            raise ParseError(
+                f"expression nested more than {MAX_NESTING} levels deep", t.offset
+            )
+        return depth
+
+    def expr(self) -> tuple[Node, int]:
+        node, d = self.term()
         while True:
             t = self.peek()
             if t.kind == "sym" and t.text in "+-":
                 self.next()
-                node = Binary(_SYM_OPS[t.text], node, self.term())
+                right, rd = self.term()
+                node = Binary(_SYM_OPS[t.text], node, right)
+                d = self._level(1 + max(d, rd), t)
             else:
-                return node
+                return node, d
 
-    def term(self) -> Node:
-        node = self.factor()
+    def term(self) -> tuple[Node, int]:
+        node, d = self.factor()
         while True:
             t = self.peek()
             if t.kind == "sym" and t.text in "*/":
                 self.next()
-                node = Binary(_SYM_OPS[t.text], node, self.factor())
+                right, rd = self.factor()
+                node = Binary(_SYM_OPS[t.text], node, right)
+                d = self._level(1 + max(d, rd), t)
             else:
-                return node
+                return node, d
 
-    def factor(self) -> Node:
+    def factor(self) -> tuple[Node, int]:
         t = self.peek()
-        self.depth += 1
-        if self.depth > MAX_NESTING:
-            raise ParseError(
-                f"expression nested more than {MAX_NESTING} levels deep", t.offset
-            )
+        # bounds the parser's own recursion, which parentheses deepen
+        # without adding tree nodes
+        self.depth = self._level(self.depth + 1, t)
         node = self._factor(t)
         self.depth -= 1
         return node
 
-    def _factor(self, t: _Token) -> Node:
+    def _factor(self, t: _Token) -> tuple[Node, int]:
         if t.kind == "sym" and t.text == "(":
             if self._literal_ahead():
                 self.next()
@@ -232,20 +247,21 @@ class _Parser:
                 self.expect_sym(",")
                 b = self._signed_number()
                 self.expect_sym(")")
-                return Lit(a, b)
+                return Lit(a, b), 0
             self.next()
             node = self.expr()
             self.expect_sym(")")
             return node
         if t.kind == "sym" and t.text == "-":
             self.next()
-            return Unary("neg", self.factor())
+            child, d = self.factor()
+            return Unary("neg", child), self._level(d + 1, t)
         if t.kind == "num":
             self.next()
             if t.text == "1":
-                return Lit(1.0, 0.0)
+                return Lit(1.0, 0.0), 0
             if t.text == "0":
-                return Lit(0.0, 0.0)
+                return Lit(0.0, 0.0), 0
             raise ParseError(
                 f"bare number {t.text!r} is not a factor;"
                 " write a literal pair like (a, b)",
@@ -254,14 +270,14 @@ class _Parser:
         if t.kind == "name":
             self.next()
             if t.text == "z":
-                return Var()
+                return Var(), 0
             if t.text == "i":
-                return Lit(0.0, 1.0)
+                return Lit(0.0, 1.0), 0
             if t.text in ("conj", "norm"):
                 self.expect_sym("(")
-                node = self.expr()
+                child, d = self.expr()
                 self.expect_sym(")")
-                return Unary(t.text, node)
+                return Unary(t.text, child), self._level(d + 1, t)
             raise ParseError(f"unknown name {t.text!r}", t.offset)
         got = repr(t.text) if t.kind != "end" else "end of input"
         raise ParseError(f"expected a factor, got {got}", t.offset)

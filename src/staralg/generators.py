@@ -6,8 +6,9 @@ transported arithmetic: classical arithmetic on preimages, read through
 the generator. Everything in this package is parameterized by a pair of
 generators, ``alpha`` for the first coordinate and ``beta`` for the
 second. Values are stored as preimages; ``guard`` checks a preimage
-against its generator's interval ``[t_min, t_max]``, and is the only
-range check on preimages in the package.
+against its generator's interval ``[t_min, t_max]``, and
+``guard_points`` checks a whole vector of complex preimages against a
+pair. They are the only range checks on preimages in the package.
 
 Built-ins:
 
@@ -42,6 +43,7 @@ __all__ = [
     "apply_forward",
     "apply_inverse",
     "guard",
+    "guard_points",
 ]
 
 
@@ -148,6 +150,25 @@ def guard(g: Generator, t: float) -> float:
         f"{g.name}: preimage {t!r} outside the working domain"
         f" [{g.t_min!r}, {g.t_max!r}]"
     )
+
+
+def guard_points(
+    pair: GeneratorPair, zs: tuple[complex, ...]
+) -> tuple[complex, ...]:
+    """zs itself when every real part passes alpha's guard and every
+    imaginary part beta's; else the GeneratorOverflowError of ``guard``
+    for the first point that fails, naming its index in zs. The chained
+    comparisons refuse NaN, as in ``guard``."""
+    a_lo, a_hi = pair.alpha.t_min, pair.alpha.t_max
+    b_lo, b_hi = pair.beta.t_min, pair.beta.t_max
+    for i, w in enumerate(zs):
+        if not (a_lo <= w.real <= a_hi and b_lo <= w.imag <= b_hi):
+            try:
+                guard(pair.alpha, w.real)
+                guard(pair.beta, w.imag)
+            except GeneratorOverflowError as e:
+                raise GeneratorOverflowError(f"{e} at point {i}") from None
+    return zs
 
 
 def apply_forward(g: Generator, t: float) -> float:

@@ -71,7 +71,7 @@ def evaluation_functional(dom: GridDomain, at: StarComplex) -> HomomorphismHandl
     return HomomorphismHandle(
         source=src,
         target=tgt,
-        map=lambda f: f.values[idx],
+        map=lambda f: f.at(idx),
         name=f"evaluation at grid point {idx}",
     )
 
@@ -352,7 +352,7 @@ class Coset:
 def quotient_map(x: GridFunction, I: EvaluationIdeal) -> Coset:
     """Project a grid function onto the quotient by an evaluation ideal."""
     qn = quotient_norm(x, I)  # also validates the domains agree
-    v = x.values[I.index]
+    v = x.at(I.index)
     return Coset(
         ideal=I,
         value=v,

@@ -99,21 +99,21 @@ def random_point(
     )
 
 
-def _same_pair(z: StarComplex, w: StarComplex) -> None:
-    if z.pair != w.pair:
+def _same_pair(p: GeneratorPair, q: GeneratorPair) -> None:
+    if p != q:
         raise PairMismatchError(
-            f"cannot combine points over {z.pair.names} and {w.pair.names}"
+            f"cannot combine points over {p.names} and {q.names}"
         )
 
 
 def c_add(z: StarComplex, w: StarComplex) -> StarComplex:
     """Componentwise addition on the two lines."""
-    _same_pair(z, w)
+    _same_pair(z.pair, w.pair)
     return _guarded(z.pair, z.value + w.value)
 
 
 def c_sub(z: StarComplex, w: StarComplex) -> StarComplex:
-    _same_pair(z, w)
+    _same_pair(z.pair, w.pair)
     return _guarded(z.pair, z.value - w.value)
 
 
@@ -123,7 +123,7 @@ def c_neg(z: StarComplex) -> StarComplex:
 
 def c_mul(z: StarComplex, w: StarComplex) -> StarComplex:
     """Product: the classical complex product on preimages."""
-    _same_pair(z, w)
+    _same_pair(z.pair, w.pair)
     return _guarded(z.pair, z.value * w.value)
 
 
@@ -131,7 +131,7 @@ def c_div(z: StarComplex, w: StarComplex) -> StarComplex:
     """Quotient; dividing by the additive zero raises StarDivisionError.
     Python's complex division is scaled (Smith's method), so no
     intermediate square overflows or underflows at extreme magnitudes."""
-    _same_pair(z, w)
+    _same_pair(z.pair, w.pair)
     try:
         q = z.value / w.value
     except ZeroDivisionError:
@@ -178,7 +178,7 @@ def approx_eq(
     z: StarComplex, w: StarComplex, rel: float = 1e-9, abs_tol: float = 1e-12
 ) -> bool:
     """Componentwise preimage closeness."""
-    _same_pair(z, w)
+    _same_pair(z.pair, w.pair)
     a1, b1 = z.preimages
     a2, b2 = w.preimages
     return preimage_close(a1, a2, rel, abs_tol) and preimage_close(

@@ -254,6 +254,21 @@ def test_exit_2_on_deep_nesting():
         assert "nested more than 200 levels" in err
 
 
+def test_exit_2_on_long_flat_chains():
+    # a chain of n terms is a left-deep tree n - 1 operators deep
+    for op in "+*":
+        code, _, _ = run(["eval", op.join(["(1,0)"] * 201)])
+        assert code == 0
+        chain = op.join(["z"] * 3000)
+        for argv in (["eval", op.join(["(1,0)"] * 3000)],
+                     ["grid", chain, "--radial", "1", "--angular", "4"]):
+            code, out, err = run(argv)
+            assert code == 2
+            assert out == ""
+            assert _one_error_line(err)
+            assert "nested more than 200 levels" in err
+
+
 def test_exit_2_on_oversized_lattice():
     for argv in (["grid", "z"], ["quotient", "z"],
                  ["axioms", "--suite", "norm", "--carrier", "grid", "--trials", "1"]):
@@ -292,6 +307,20 @@ def test_parser_lists_all_subcommands():
     helptext = build_parser().format_help()
     for sub in ("eval", "invert", "grid", "quotient", "axioms"):
         assert sub in helptext
+
+
+def test_eval_does_not_import_numpy():
+    code = (
+        "import sys, staralg\n"
+        "from staralg import cli\n"
+        "assert cli.main(['eval', '(1,2)']) == 0\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 def test_module_entry_point():

@@ -73,6 +73,28 @@ def test_syntax_error_offsets():
         parse_expr("(1,2,3)")
 
 
+def test_tree_depth_counts_chained_operators():
+    # 200 chained operators make a tree 200 deep: the limit
+    for op in "+-*/":
+        t = parse_expr(op.join(["z"] * 201))
+        assert parse_expr(to_text(t)) == t
+    assert eval_classical(parse_expr("+".join(["z"] * 201)), z=1j) == 201j
+    for op in "+-*/":
+        src = op.join(["z"] * 202)
+        with pytest.raises(ParseError, match="nested more than 200 levels") as exc:
+            parse_expr(src)
+        assert exc.value.offset == src.rindex(op)
+    assert parse_expr("-" + "+".join(["z"] * 200))  # depth 200 with the minus
+    with pytest.raises(ParseError):
+        parse_expr("-conj(" + "+".join(["z"] * 200) + ")")
+    # short chains nested in chains still make a deep tree
+    src = "z"
+    for _ in range(20):
+        src = f"({src})" + "+z" * 15
+    with pytest.raises(ParseError, match="nested more than 200 levels"):
+        parse_expr(src)
+
+
 def test_eval_classical_oracles():
     assert eval_classical(parse_expr("(1,2)*(3,4)")) == complex(-5.0, 10.0)
     assert eval_classical(parse_expr("conj((1,2))")) == complex(1.0, -2.0)

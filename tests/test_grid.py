@@ -1,0 +1,278 @@
+"""The grid layer: the hashed point lookup against the all-pairs check and
+linear scan it replaced, the one guard over a function's preimages, and
+single-point reads that leave the rest of a function unbuilt."""
+
+import math
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from staralg import (
+    DomainMismatchError,
+    EvaluationIdeal,
+    GeneratorOverflowError,
+    GridDomain,
+    GridFunction,
+    StarComplex,
+    coordinate_function,
+    evaluation_functional,
+    fn_add,
+    fn_involution,
+    fn_mul,
+    fn_scalar_mul,
+    from_preimages,
+    grid_constant,
+    guard,
+    ideal_membership,
+    make_disk_domain,
+    one,
+    pair_of,
+    quotient_map,
+    quotient_norm,
+    zero,
+)
+
+II = pair_of("identity", "identity")
+TOL = 1e-9
+CELL = 2.0**-28  # the lookup cell's side
+
+
+# --- reference: the quadratic check and the linear scan ---------------------
+
+
+def reference_check(points):
+    """GridDomain's validation as an all-pairs loop: None or the message."""
+    if not points:
+        return "a grid needs at least one point"
+    has_origin = False
+    for p in points:
+        m = math.hypot(*p.preimages)
+        if m > 0.5 + 1e-12:
+            return (f"grid point with preimage modulus {m!r} is outside"
+                    " the radius-1/2 disk")
+        if m <= TOL:
+            has_origin = True
+    if not has_origin:
+        return "the grid must contain the additive zero"
+    for i in range(len(points)):
+        for j in range(i + 1, len(points)):
+            if abs(points[i].as_complex - points[j].as_complex) <= TOL:
+                return f"grid points {i} and {j} coincide"
+    return None
+
+
+def reference_index_of(points, z):
+    for i, p in enumerate(points):
+        if abs(p.as_complex - z.as_complex) <= TOL:
+            return i
+    return None
+
+
+# offsets around the tolerance and the cell side, on either side of each
+_STEPS = (
+    0.0,
+    0.5 * TOL,
+    math.nextafter(TOL, 0.0),
+    TOL,
+    math.nextafter(TOL, 1.0),
+    1.5 * TOL,
+    2.0 * TOL,
+    math.nextafter(CELL, 0.0),
+    CELL,
+    3.0 * TOL,
+)
+_DIRECTIONS = (1, -1, 1j, -1j, complex(0.6, 0.8), complex(-0.8, 0.6))
+_offsets = st.builds(
+    lambda s, d: s * d, st.sampled_from(_STEPS), st.sampled_from(_DIRECTIONS)
+)
+
+
+@st.composite
+def _centre(draw):
+    """Anywhere in the disk, or on a cell corner or a cell's midlines, so
+    that neighbours straddle the lines where lookups change cells."""
+    if draw(st.booleans()):
+        k = st.integers(-int(0.6 / CELL), int(0.6 / CELL))
+        return complex(draw(k) * CELL / 2, draw(k) * CELL / 2)
+    r = draw(st.floats(0.0, 0.49))
+    th = draw(st.floats(0.0, 2.0 * math.pi))
+    return complex(r * math.cos(th), r * math.sin(th))
+
+
+@st.composite
+def point_sets(draw):
+    """Clusters of up to three points, each a few tolerances apart, plus
+    (usually) the origin, in a drawn order."""
+    zs = [0j] if draw(st.integers(0, 9)) else []
+    for _ in range(draw(st.integers(1, 4))):
+        c = draw(_centre())
+        zs += [c + draw(_offsets) for _ in range(draw(st.integers(1, 3)))]
+    return draw(st.permutations(zs))
+
+
+def _points(zs):
+    return tuple(from_preimages(II, w.real, w.imag) for w in zs)
+
+
+@settings(max_examples=400, deadline=None)
+@given(point_sets(), st.lists(_offsets, min_size=1, max_size=4))
+def test_hashed_domain_matches_the_all_pairs_reference(zs, offsets):
+    points = _points(zs)
+    want = reference_check(points)
+    if want is not None:
+        with pytest.raises(ValueError) as e:
+            GridDomain(II, points)
+        assert str(e.value) == want
+        return
+    dom = GridDomain(II, points)
+    for p in points:
+        for d in offsets:
+            z = StarComplex(II, p.value + d)
+            i = reference_index_of(points, z)
+            if i is None:
+                with pytest.raises(ValueError, match="is not on the grid"):
+                    dom.index_of(z)
+            else:
+                assert dom.index_of(z) == i
+
+
+def test_three_mutually_close_points_report_the_first_pair():
+    c = complex(0.1, 0.2)
+    zs = [c + 0.4 * TOL, 0.25 + 0j, c, 0j, c + 0.8 * TOL]
+    points = _points(zs)
+    assert reference_check(points) == "grid points 0 and 2 coincide"
+    with pytest.raises(ValueError, match="^grid points 0 and 2 coincide$"):
+        GridDomain(II, points)
+
+
+def test_index_of_picks_the_lowest_of_several_matches():
+    # two points 1.5e-9 apart are distinct, and a point between them
+    # lies within 1e-9 of both; the lower index wins, as in a scan
+    c = complex(3 * CELL, 0.1)
+    for zs in ([0j, c + 1.5 * TOL, c], [0j, c, c + 1.5 * TOL]):
+        points = _points(zs)
+        dom = GridDomain(II, points)
+        mid = from_preimages(II, c.real + 0.75 * TOL, c.imag)
+        assert dom.index_of(mid) == reference_index_of(points, mid) == 1
+
+
+def test_pair_within_the_tolerance_across_a_cell_boundary():
+    for edge in (5 * CELL, 5.5 * CELL):  # a cell boundary and a midline
+        for a, b in ((math.nextafter(edge, 0.0), edge + 0.99 * TOL),
+                     (edge - 0.49 * TOL, edge + 0.5 * TOL),
+                     (edge - 0.99 * TOL, math.nextafter(edge, 1.0))):
+            points = _points([0j, complex(a, 0.1), complex(b, 0.1)])
+            assert abs(points[1].as_complex - points[2].as_complex) <= TOL
+            with pytest.raises(ValueError, match="grid points 1 and 2 coincide"):
+                GridDomain(II, points)
+            points = _points([0j, complex(0.1, a), complex(0.1, b)])
+            with pytest.raises(ValueError, match="grid points 1 and 2 coincide"):
+                GridDomain(II, points)
+
+
+def test_index_of_refuses_far_and_non_finite_points():
+    dom = make_disk_domain(II, 2, 8)
+    for w in (complex(1e300, 0.0), complex(0.0, -math.inf), complex(math.nan, 0.0)):
+        with pytest.raises(ValueError, match="is not on the grid"):
+            dom.index_of(StarComplex(II, w))
+
+
+def test_grid_point_with_nan_preimage_is_refused():
+    points = (from_preimages(II, 0.0, 0.0), StarComplex(II, complex(math.nan, 0.1)))
+    with pytest.raises(ValueError, match="outside the radius-1/2 disk"):
+        GridDomain(II, points)
+
+
+def test_disk_domain_agrees_with_the_reference():
+    dom = make_disk_domain(II, 16, 48)
+    assert reference_check(dom.points) is None
+    for k in (0, 1, 400, len(dom) - 1):
+        assert dom.index_of(dom.points[k]) == k
+
+
+# --- the guard over a function's preimages -----------------------------------
+
+
+def _ops(pair):
+    """Each pointwise op, applied so that the result keeps f's bad value."""
+    return {
+        "add": lambda f: fn_add(f, grid_constant(f.domain, zero(pair))),
+        "mul": lambda f: fn_mul(f, grid_constant(f.domain, one(pair))),
+        "scalar_mul": lambda f: fn_scalar_mul(one(pair), f),
+        "involution": fn_involution,
+    }
+
+
+@pytest.mark.parametrize("name", ["exp", "cube"])
+@pytest.mark.parametrize("bad", ["overflow", "nan"])
+def test_every_pointwise_op_guards_every_index(name, bad):
+    pair = pair_of(name, name)
+    dom = make_disk_domain(pair, 2, 8)
+    g = pair.alpha
+    t = math.nan if bad == "nan" else math.nextafter(g.t_max, math.inf)
+    with pytest.raises(GeneratorOverflowError) as e:
+        guard(g, t)
+    expected = str(e.value)
+    for k in (0, len(dom) // 2, len(dom) - 1):
+        values = list(coordinate_function(dom).values)
+        # the public constructor takes field points as they are
+        values[k] = StarComplex(pair, complex(t, 0.1))
+        f = GridFunction(dom, tuple(values))
+        for op_name, op in _ops(pair).items():
+            with pytest.raises(GeneratorOverflowError) as e:
+                op(f)
+            assert str(e.value) == f"{expected} at point {k}", op_name
+            assert str(e.value).startswith(f"{name}: ")
+
+
+def test_results_past_the_interval_are_refused():
+    pair = pair_of("identity", "exp")
+    dom = make_disk_domain(pair, 2, 8)
+    f = grid_constant(dom, from_preimages(pair, 0.0, 400.0))
+    with pytest.raises(GeneratorOverflowError, match=r"^exp: .* at point 0$"):
+        fn_add(f, f)
+    with pytest.raises(GeneratorOverflowError, match=r"^exp: .* at point 0$"):
+        fn_scalar_mul(from_preimages(pair, 2.0, 0.0), f)
+
+
+def test_of_preimages_checks_length_and_guards():
+    dom = make_disk_domain(II, 1, 4)
+    with pytest.raises(ValueError, match="3 values for 5 points"):
+        GridFunction.of_preimages(dom, (0j, 0j, 0j))
+    with pytest.raises(GeneratorOverflowError, match="at point 4$"):
+        GridFunction.of_preimages(dom, (0j, 0j, 0j, 0j, complex(0.0, math.inf)))
+    f = GridFunction.of_preimages(dom, dom.preimages)
+    assert f == coordinate_function(dom)
+    assert f.values == dom.points
+
+
+def test_public_constructor_checks_the_pair():
+    dom = make_disk_domain(II, 1, 4)
+    other = pair_of("identity", "exp")
+    with pytest.raises(DomainMismatchError):
+        GridFunction(dom, (from_preimages(other, 0.0, 0.0),) * len(dom))
+    with pytest.raises(DomainMismatchError):
+        grid_constant(dom, one(other))
+
+
+# --- single-point reads --------------------------------------------------------
+
+
+def test_single_point_reads_do_not_build_the_values(monkeypatch):
+    pair = pair_of("identity", "exp")
+    dom = make_disk_domain(pair, 2, 8)
+    f = fn_add(coordinate_function(dom), grid_constant(dom, one(pair)))
+    w = dom.points[5].value + 1
+    want = from_preimages(pair, w.real, w.imag)
+    ideal = EvaluationIdeal(dom, dom.points[5])
+
+    def refuse(self):
+        raise AssertionError("the whole value tuple was built")
+
+    monkeypatch.setattr(GridFunction, "values", property(refuse))
+    assert f.at(5) == want
+    assert f.value_at(dom.points[5]) == want
+    assert evaluation_functional(dom, dom.points[5]).map(f) == want
+    assert quotient_map(f, ideal).value == want
+    assert quotient_norm(f, ideal).preimage == math.hypot(*want.preimages)
+    assert not ideal_membership(ideal, f)
