@@ -10,7 +10,9 @@ grammar, the JSON shapes, and the exit codes are stable contracts:
   exit 2   usage error (syntax error, unknown name, z where no point is
            bound, a base point that is not on the grid, a tolerance that
            is not finite and positive, an expression nested too deeply,
-           a lattice of more than 4096 points)
+           a lattice of more than 4096 points, more than 40000 --trials,
+           more than 250000 trials x lattice points on the grid carrier,
+           more than 400000 --max-terms)
 
 Output is deterministic: same argv, same bytes.
 """
@@ -61,6 +63,19 @@ __all__ = ["build_parser", "main", "run_command"]
 # per point (about 1.4 MB of JSON at 4096 points), and the per-point work
 # of quotient and of axioms on the grid carrier.
 _MAX_GRID_POINTS = 4096
+
+# caps that keep each argv to about 10 s on a 2-core x86-64 VM for the
+# worst suite and pair measured: vector-space on the scalar carrier at
+# about 235 us a trial, normed-algebra on the grid at about 35 us a trial
+# and point, and about 22 us a Neumann term
+_MAX_TRIALS = 40_000
+_MAX_TRIAL_POINTS = 250_000
+_MAX_TERMS = 400_000
+
+
+def _at_most(what: str, n: int, cap: int) -> None:
+    if n > cap:
+        raise ValueError(f"{what} exceeds the limit of {cap}")
 
 
 def _tolerance(text: str) -> float:
@@ -218,6 +233,7 @@ def _inverse_matches(inverse: StarComplex, exact: StarComplex, tol: float) -> bo
 
 
 def _cmd_invert(args: argparse.Namespace, pair) -> int:
+    _at_most(f"--max-terms {args.max_terms}", args.max_terms, _MAX_TERMS)
     tree = parse_expr(args.expr)
     x = dual_mode_eval(tree, pair, args.mode)
     A = scalar_algebra(pair)
@@ -343,10 +359,15 @@ def _cmd_quotient(args: argparse.Namespace, pair) -> int:
 
 
 def _cmd_axioms(args: argparse.Namespace, pair) -> int:
+    _at_most(f"--trials {args.trials}", args.trials, _MAX_TRIALS)
     if args.carrier == "scalar":
         A = scalar_algebra(pair)
     else:
-        A = grid_algebra(_disk_domain(args, pair))
+        dom = _disk_domain(args, pair)
+        n = args.trials * len(dom)
+        _at_most(f"{args.trials} trials x {len(dom)} lattice points = {n}",
+                 n, _MAX_TRIAL_POINTS)
+        A = grid_algebra(dom)
     report = run_axiom_suite(
         args.suite, A, trials=args.trials, tol=args.tol, seed=args.seed
     )

@@ -10,27 +10,32 @@ The concrete grammar (stable, documented verbatim in the README):
 A literal ``(a, b)`` gives the two coordinates as classical preimages.
 Expressions nest at most ``MAX_NESTING`` levels deep, counted two ways.
 Each parenthesis, ``conj(``, ``norm(`` and unary minus opens one level
-of factors, which bounds the parser's recursion. Each operator node adds
-one level to the tree, chained ``+ - * /`` included, which bounds the
-recursion of the evaluators and the printer. Both stay well inside
-Python's recursion limit.
+of factors, which keeps the parser's recursion well inside Python's
+recursion limit. Each operator node adds one level to the tree, chained
+``+ - * /`` included. The printer and both evaluation routes walk a
+tree without recursion, so they take trees built in code of any depth;
+the tree limit stays as the contract for parsed input.
 ``i`` is (0, 1), ``1`` is (1, 0), ``0`` is (0, 0). A leading '(' is a
 literal exactly when an optionally signed number followed by a comma
 comes next; otherwise it groups a subexpression.
 
-This module knows nothing about generators: trees are pure data, and
-``eval_classical`` interprets them over the ordinary complex numbers
-(the pullback route). The direct route lives in star_complex.
+This module knows nothing about generators: trees are pure data.
+``fold`` is the one walk over a tree, iterative and in post-order; each
+reading of a tree is a leaf function plus a table of ops over it. The
+printer ``to_text`` is one, ``eval_classical`` over the ordinary complex
+numbers (the pullback route) is another, and the direct route lives in
+star_complex.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass
-from typing import Union
+from typing import Any, Callable, Union
 
-from .errors import ParseError, StarDivisionError, UnboundVariableError
+from .errors import ParseError, StarDivisionError, StarError, UnboundVariableError
 
 __all__ = [
     "Lit",
@@ -289,43 +294,98 @@ def parse_expr(src: str) -> Node:
 
 
 # ---------------------------------------------------------------------------
-# printer
+# the one tree walk, and the printer as one reading of it
 
-_PREC = {"add": 1, "sub": 1, "mul": 2, "div": 2}
-_SYMS = {"add": "+", "sub": "-", "mul": "*", "div": "/"}
+_last: tuple[Node | None, list[Node]] = (None, [])  # see fold
 
 
-def _fmt(x: float) -> str:
-    return repr(x)
+def fold(node: Node, leaf: Callable[[Node], Any], ops: dict[str, Callable]) -> Any:
+    """Fold a tree bottom-up on an explicit stack: ``leaf(n)`` is the value
+    of a Lit or Var, and ``ops[n.op]`` maps a node's child values to its
+    own. A StarError without a subterm gets the text of the node that
+    raised, the first failing node in post-order. The post-order of the
+    last tree is kept, since per-point callers fold one tree many times;
+    trees are frozen, so ``is`` is an exact test."""
+    global _last
+    if _last[0] is not node:
+        order, todo = [], [node]
+        while todo:  # node, right subtree, left subtree: post-order reversed
+            n = todo.pop()
+            order.append(n)
+            if isinstance(n, Binary):
+                todo += (n.left, n.right)
+            elif isinstance(n, Unary):
+                todo.append(n.child)
+        order.reverse()
+        _last = (node, order)
+    vals: list[Any] = []
+    try:
+        for n in _last[1]:
+            if isinstance(n, Binary):
+                right = vals.pop()
+                vals[-1] = ops[n.op](vals[-1], right)
+            elif isinstance(n, Unary):
+                vals[-1] = ops[n.op](vals[-1])
+            else:
+                vals.append(leaf(n))
+    except StarError as e:
+        if e.subterm is None:
+            e.subterm = to_text(n)
+        raise
+    return vals[0]
+
+
+# printer values are (text, precedence); leaves and unary nodes bind
+# tightest, at 3
+def _paren(v: tuple[str, int], prec: int) -> str:
+    return v[0] if v[1] >= prec else f"({v[0]})"
+
+
+def _infix(sym: str, prec: int) -> Callable:
+    # the grammar is left-associative, so an equal-precedence right child
+    # needs parentheses to survive a round trip
+    return lambda a, b: (f"{_paren(a, prec)}{sym}{_paren(b, prec + 1)}", prec)
+
+
+_TEXT_OPS = {
+    "add": _infix("+", 1),
+    "sub": _infix("-", 1),
+    "mul": _infix("*", 2),
+    "div": _infix("/", 2),
+    "neg": lambda v: ("-" + _paren(v, 3), 3),
+    "conj": lambda v: (f"conj({v[0]})", 3),
+    "norm": lambda v: (f"norm({v[0]})", 3),
+}
+
+
+def _text_leaf(n: Node) -> tuple[str, int]:
+    return (f"({n.a!r},{n.b!r})" if isinstance(n, Lit) else n.name), 3
 
 
 def to_text(node: Node) -> str:
     """Render a tree back to the grammar; parse(to_text(t)) == t."""
-    if isinstance(node, Lit):
-        return f"({_fmt(node.a)},{_fmt(node.b)})"
-    if isinstance(node, Var):
-        return node.name
-    if isinstance(node, Unary):
-        if node.op == "neg":
-            inner = to_text(node.child)
-            if isinstance(node.child, Binary):
-                inner = f"({inner})"
-            return f"-{inner}"
-        return f"{node.op}({to_text(node.child)})"
-    p = _PREC[node.op]
-    left = to_text(node.left)
-    if isinstance(node.left, Binary) and _PREC[node.left.op] < p:
-        left = f"({left})"
-    right = to_text(node.right)
-    # the grammar is left-associative, so an equal-precedence right child
-    # needs parentheses to survive a round trip
-    if isinstance(node.right, Binary) and _PREC[node.right.op] <= p:
-        right = f"({right})"
-    return f"{left}{_SYMS[node.op]}{right}"
+    return fold(node, _text_leaf, _TEXT_OPS)[0]
 
 
 # ---------------------------------------------------------------------------
 # classical interpretation (the pullback route)
+
+
+def _classical_div(left: complex, right: complex) -> complex:
+    if right == 0:
+        raise StarDivisionError("division by zero")
+    return left / right
+
+
+_CLASSICAL_OPS = {
+    "add": operator.add,
+    "sub": operator.sub,
+    "mul": operator.mul,
+    "div": _classical_div,
+    "neg": operator.neg,
+    "conj": complex.conjugate,
+    "norm": lambda v: complex(abs(v), 0.0),
+}
 
 
 def eval_classical(node: Node, z: complex | None = None) -> complex:
@@ -334,30 +394,15 @@ def eval_classical(node: Node, z: complex | None = None) -> complex:
     ``norm`` maps to the classical modulus (as a real-axis value). The
     variable must be bound when the tree mentions z.
     """
-    if isinstance(node, Lit):
-        return complex(node.a, node.b)
-    if isinstance(node, Var):
+
+    def leaf(n: Node) -> complex:
+        if isinstance(n, Lit):
+            return complex(n.a, n.b)
         if z is None:
             raise UnboundVariableError("z is not bound in this context")
         return z
-    if isinstance(node, Unary):
-        v = eval_classical(node.child, z)
-        if node.op == "conj":
-            return v.conjugate()
-        if node.op == "neg":
-            return -v
-        return complex(abs(v), 0.0)
-    left = eval_classical(node.left, z)
-    right = eval_classical(node.right, z)
-    if node.op == "add":
-        return left + right
-    if node.op == "sub":
-        return left - right
-    if node.op == "mul":
-        return left * right
-    if right == 0:
-        raise StarDivisionError("division by zero")
-    return left / right
+
+    return fold(node, leaf, _CLASSICAL_OPS)
 
 
 # ---------------------------------------------------------------------------
@@ -405,45 +450,27 @@ def safe_random_tree(
     with bounded retries; falls back to a fresh leaf.
     """
 
-    def leaf() -> tuple[Node, complex]:
+    def leaf() -> Node:
         r = rng.random()
         if allow_z and r < 0.15:
-            return Var(), z_value
+            return Var()
         if r < 0.25:
-            node = rng.choice((Lit(0.0, 0.0), Lit(1.0, 0.0), Lit(0.0, 1.0)))
-            return node, complex(node.a, node.b)
-        a = rng.uniform(-3.0, 3.0)
-        b = rng.uniform(-3.0, 3.0)
-        return Lit(a, b), complex(a, b)
+            return rng.choice((Lit(0.0, 0.0), Lit(1.0, 0.0), Lit(0.0, 1.0)))
+        return Lit(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0))
 
-    def build(depth: int) -> tuple[Node, complex]:
+    def build(depth: int) -> Node:
         if depth <= 0 or rng.random() < 0.2:
             return leaf()
         if rng.random() < 0.25:
-            op = rng.choice(_UN_OPS)
-            child, v = build(depth - 1)
-            if op == "conj":
-                return Unary(op, child), v.conjugate()
-            if op == "neg":
-                return Unary(op, child), -v
-            return Unary(op, child), complex(abs(v), 0.0)
+            return Unary(rng.choice(_UN_OPS), build(depth - 1))
         op = rng.choice(_BIN_OPS)
         for _ in range(20):
-            left, lv = build(depth - 1)
-            right, rv = build(depth - 1)
-            if op == "add":
-                v = lv + rv
-            elif op == "sub":
-                v = lv - rv
-            elif op == "mul":
-                v = lv * rv
-            else:
-                if abs(rv) < min_denom:
-                    continue
-                v = lv / rv
-            if abs(v) <= bound:
-                return Binary(op, left, right), v
+            left, right = build(depth - 1), build(depth - 1)
+            if op == "div" and abs(eval_classical(right, z_value)) < min_denom:
+                continue
+            node = Binary(op, left, right)
+            if abs(eval_classical(node, z_value)) <= bound:
+                return node
         return leaf()
 
-    node, _ = build(max_depth)
-    return node
+    return build(max_depth)

@@ -15,13 +15,8 @@ import random
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import (
-    PairMismatchError,
-    StarDivisionError,
-    StarError,
-    UnboundVariableError,
-)
-from .expr import Binary, Lit, Node, Unary, Var, eval_classical, to_text
+from .errors import PairMismatchError, StarDivisionError, UnboundVariableError
+from .expr import Lit, Node, eval_classical, fold
 from .generators import GeneratorPair, guard
 from .star_real import StarReal, from_preimage, preimage_close
 
@@ -100,7 +95,7 @@ def random_point(
 
 
 def _same_pair(p: GeneratorPair, q: GeneratorPair) -> None:
-    if p != q:
+    if p is not q and p != q:
         raise PairMismatchError(
             f"cannot combine points over {p.names} and {q.names}"
         )
@@ -190,40 +185,16 @@ def approx_eq(
 # dual-route expression evaluation
 
 
-def _eval_direct(
-    node: Node, pair: GeneratorPair, z: StarComplex | None
-) -> StarComplex:
-    try:
-        if isinstance(node, Lit):
-            return from_preimages(pair, node.a, node.b)
-        if isinstance(node, Var):
-            if z is None:
-                raise UnboundVariableError("z is not bound in this context")
-            if z.pair != pair:
-                raise PairMismatchError("bound point lives over a different pair")
-            return z
-        if isinstance(node, Unary):
-            v = _eval_direct(node.child, pair, z)
-            if node.op == "conj":
-                return c_conj(v)
-            if node.op == "neg":
-                return c_sub(zero(pair), v)
-            # a norm used as a subexpression sits on the real axis
-            return from_preimages(pair, c_norm(v).preimage, 0.0)
-        left = _eval_direct(node.left, pair, z)
-        right = _eval_direct(node.right, pair, z)
-        if node.op == "add":
-            return c_add(left, right)
-        if node.op == "sub":
-            return c_sub(left, right)
-        if node.op == "mul":
-            return c_mul(left, right)
-        return c_div(left, right)
-    except StarError as e:
-        # deepest frame wins: only annotate once
-        if e.subterm is None:
-            e.subterm = to_text(node)
-        raise
+_DIRECT_OPS = {
+    "add": c_add,
+    "sub": c_sub,
+    "mul": c_mul,
+    "div": c_div,
+    "conj": c_conj,
+    "neg": lambda v: c_sub(zero(v.pair), v),
+    # a norm used as a subexpression sits on the real axis
+    "norm": lambda v: from_preimages(v.pair, c_norm(v).preimage, 0.0),
+}
 
 
 def dual_mode_eval(
@@ -240,9 +211,19 @@ def dual_mode_eval(
     The two must agree to about 1e-9 on preimages; keeping both routes
     alive is the point, so they are never collapsed into one.
     """
-    if mode == "direct":
-        return _eval_direct(tree, pair, z)
     if mode == "pullback":
         zc = z.as_complex if z is not None else None
         return from_classical(pair, eval_classical(tree, zc))
-    raise ValueError(f"unknown evaluation mode {mode!r}")
+    if mode != "direct":
+        raise ValueError(f"unknown evaluation mode {mode!r}")
+
+    def leaf(n: Node) -> StarComplex:
+        if isinstance(n, Lit):
+            return from_preimages(pair, n.a, n.b)
+        if z is None:
+            raise UnboundVariableError("z is not bound in this context")
+        if z.pair is not pair and z.pair != pair:
+            raise PairMismatchError("bound point lives over a different pair")
+        return z
+
+    return fold(tree, leaf, _DIRECT_OPS)

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from staralg import from_preimages, pair_of, run_command
+from staralg import cli
 from staralg.cli import _inverse_matches, build_parser, main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -189,6 +190,13 @@ def test_exit_1_on_division_by_zero_with_subterm():
     assert "in subterm (1.0,0.0)/((1.0,0.0)-(1.0,0.0))" in err
 
 
+def test_exit_1_on_pullback_division_by_zero_with_subterm():
+    code, out, err = run(["eval", "--mode", "pullback", "(1,0)/(0,0)"])
+    assert code == 1
+    assert out == ""
+    assert err == "error: division by zero in subterm (1.0,0.0)/(0.0,0.0)\n"
+
+
 def test_exit_1_when_inversion_precondition_fails():
     code, _, err = run(["invert", "(2.5,0)"])
     assert code == 1
@@ -276,6 +284,52 @@ def test_exit_2_on_oversized_lattice():
         assert code == 2
         assert _one_error_line(err)
         assert "4096" in err
+
+
+@pytest.fixture
+def one_trial(monkeypatch):
+    """Runs every suite for one trial, and records the trials asked for,
+    so that an argv at a cap is accepted without doing its work."""
+    asked = []
+    real = cli.run_axiom_suite
+
+    def run_one(suite, A, trials, **kw):
+        asked.append(trials)
+        return real(suite, A, trials=1, **kw)
+
+    monkeypatch.setattr(cli, "run_axiom_suite", run_one)
+    return asked
+
+
+def test_trials_cap(one_trial):
+    code, _, _ = run(["axioms", "--suite", "norm", "--trials", "40000"])
+    assert code == 0 and one_trial == [40000]
+    code, out, err = run(["axioms", "--suite", "norm", "--trials", "40001"])
+    assert code == 2 and out == ""
+    assert err == "error: --trials 40001 exceeds the limit of 40000\n"
+    assert one_trial == [40000]
+
+
+def test_trial_points_cap_on_the_grid(one_trial):
+    # 2000 trials on 1 + 4 x 31 = 125 points make 250000 trial points;
+    # 4717 trials on 1 + 4 x 13 = 53 points make 250001
+    grid = ["axioms", "--suite", "norm", "--carrier", "grid", "--radial", "4"]
+    code, _, _ = run(grid + ["--angular", "31", "--trials", "2000"])
+    assert code == 0 and one_trial == [2000]
+    code, out, err = run(grid + ["--angular", "13", "--trials", "4717"])
+    assert code == 2 and out == ""
+    assert err == ("error: 4717 trials x 53 lattice points = 250001"
+                   " exceeds the limit of 250000\n")
+    assert one_trial == [2000]
+
+
+def test_max_terms_cap():
+    # (0.6,0) converges in a few dozen terms, whatever the cap
+    code, _, _ = run(["invert", "(0.6,0)", "--max-terms", "400000"])
+    assert code == 0
+    code, out, err = run(["invert", "(0.6,0)", "--max-terms", "400001"])
+    assert code == 2 and out == ""
+    assert err == "error: --max-terms 400001 exceeds the limit of 400000\n"
 
 
 def test_exit_2_on_bad_subcommand():
