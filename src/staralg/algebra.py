@@ -1,5 +1,6 @@
 """Concrete carriers: the scalar field, finite-grid function algebras,
-polynomials, evaluation ideals, and element classification.
+polynomials, evaluation ideals, element classification, and the subset
+specs that the closure check in axiom_harness audits.
 
 An Algebra is a plain record of operations over one generator pair. The
 axiom harness, the series inverters, and the morphism checks only ever
@@ -20,7 +21,6 @@ from .errors import (
     MissingUnitError,
 )
 from .generators import GeneratorPair, guard_points
-from .report import AxiomReport
 from .star_complex import (
     StarComplex,
     _same_pair,
@@ -66,7 +66,6 @@ __all__ = [
     "classify_element",
     "hermitian_parts",
     "SubsetSpec",
-    "subalgebra_closure_check",
     "norm_ball_subset",
     "polynomial_subset",
     "ideal_subset",
@@ -613,7 +612,7 @@ def hermitian_parts(A: Algebra, x: Any) -> tuple[Any, Any]:
 
 
 # ---------------------------------------------------------------------------
-# subset closure checking
+# subsets, for the closure check in axiom_harness
 
 
 @dataclass(frozen=True)
@@ -630,74 +629,6 @@ class SubsetSpec:
     contains: Callable[[Any, float], bool]
     sample_member: Callable[[random.Random], Any]
     star_closed: bool = False
-
-
-def subalgebra_closure_check(
-    A: Algebra,
-    subset: SubsetSpec,
-    trials: int = 500,
-    tol: float = 1e-9,
-    seed: int = 0,
-) -> AxiomReport:
-    """Audit that a subset is closed under the carrier's operations.
-
-    Checks the sampler's own consistency, the zero, and closure under
-    addition, scalar action, multiplication, and (when requested) the
-    involution. Violations are structural: the report carries the first
-    counterexample and passed=False.
-    """
-    rng = random.Random(seed)
-    counterexample: dict[str, Any] | None = None
-    passed = True
-    notes = [f"subset: {subset.name}"]
-
-    def fail(law: str, **payload: Any) -> None:
-        nonlocal passed, counterexample
-        passed = False
-        if counterexample is None:
-            counterexample = {"law": law, **payload}
-
-    if not subset.contains(A.zero, tol):
-        fail("zero-membership")
-
-    for _ in range(trials):
-        x = subset.sample_member(rng)
-        y = subset.sample_member(rng)
-        lam = random_point(rng, A.pair)
-        if not subset.contains(x, tol):
-            fail("sampler-consistency", x=A.describe(x))
-            break
-        if not subset.contains(A.add(x, y), tol):
-            fail("closed-under-addition", x=A.describe(x), y=A.describe(y))
-        if not subset.contains(A.scalar_mul(lam, x), tol):
-            fail(
-                "closed-under-scalar",
-                x=A.describe(x),
-                scalar=list(lam.preimages),
-            )
-        if not subset.contains(A.mul(x, y), tol):
-            fail("closed-under-multiplication", x=A.describe(x), y=A.describe(y))
-        if subset.star_closed:
-            if A.involution is None:
-                raise MissingInvolutionError(
-                    f"{A.name}: subset claims star closure but the carrier"
-                    " has no involution"
-                )
-            if not subset.contains(A.involution(x), tol):
-                fail("closed-under-star", x=A.describe(x))
-        if not passed:
-            break
-
-    return AxiomReport(
-        suite="subalgebra-closure",
-        pair=A.pair.names,
-        trials=trials,
-        tolerance=tol,
-        passed=passed,
-        worst_residual=0.0,
-        counterexample=counterexample,
-        notes=tuple(notes),
-    )
 
 
 def norm_ball_subset(dom: GridDomain, radius: float = 1.0) -> SubsetSpec:

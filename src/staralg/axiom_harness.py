@@ -1,11 +1,12 @@
 """Randomized law checking for carriers over a generator pair.
 
-Six suites: field, vector-space, norm, normed-algebra, involution,
-c-star. Each law is evaluated on fresh random tuples every trial; the
-report carries the worst normalized residual and the first
-counterexample (preimages only). Residuals are scaled by
-max(1, operand magnitude), so the tolerance reads as absolute near zero
-and relative at scale.
+``_run_trials`` is the one trial runner, for the six suites (field,
+vector-space, norm, normed-algebra, involution, c-star), the
+subset-closure check and the checks in morphisms. Each law is evaluated
+on fresh random tuples every trial; the report carries the worst
+normalized residual and the first counterexample (preimages only).
+Residuals are scaled by max(1, operand magnitude), so the tolerance
+reads as absolute near zero and relative at scale.
 
 The module also ships deliberately broken carrier mutants (wrong zero,
 constant norm, scaled multiplication, dropped conjugation) used to show
@@ -18,7 +19,7 @@ import random
 from dataclasses import replace
 from typing import Any, Callable
 
-from .algebra import Algebra, GridFunction, StarPolynomial, make_disk_domain
+from .algebra import Algebra, GridFunction, StarPolynomial, SubsetSpec, make_disk_domain
 from .errors import (
     MissingInvolutionError,
     MissingUnitError,
@@ -42,6 +43,7 @@ from .star_real import from_preimage, one_of
 __all__ = [
     "SUITES",
     "run_axiom_suite",
+    "subalgebra_closure_check",
     "random_sample",
     "emit_report",
     "report_to_dict",
@@ -75,18 +77,6 @@ _INVERSE_GUARD = 1e-6
 
 # ---------------------------------------------------------------------------
 # sampling helpers
-
-
-def _rand_scalar(
-    rng: random.Random,
-    pair: GeneratorPair,
-    bound: float = 3.0,
-    floor: float = 0.0,
-) -> StarComplex:
-    while True:
-        lam = random_point(rng, pair, bound)
-        if floor <= 0.0 or abs(lam.as_complex) >= floor:
-            return lam
 
 
 def _sample_away_from_zero(
@@ -189,7 +179,7 @@ def _law_add_inverse(A, rng, tol):
 
 def _law_scalar_distributes(A, rng, tol):
     x, y = A.sample(rng), A.sample(rng)
-    lam = _rand_scalar(rng, A.pair)
+    lam = random_point(rng, A.pair)
     lhs = A.scalar_mul(lam, A.add(x, y))
     rhs = A.add(A.scalar_mul(lam, x), A.scalar_mul(lam, y))
     return _rel_dist(A, lhs, rhs), {**_desc(A, x=x, y=y), "scalar": _scalar_desc(lam)}
@@ -197,7 +187,7 @@ def _law_scalar_distributes(A, rng, tol):
 
 def _law_scalar_sum_distributes(A, rng, tol):
     x = A.sample(rng)
-    lam, mu = _rand_scalar(rng, A.pair), _rand_scalar(rng, A.pair)
+    lam, mu = random_point(rng, A.pair), random_point(rng, A.pair)
     lhs = A.scalar_mul(c_add(lam, mu), x)
     rhs = A.add(A.scalar_mul(lam, x), A.scalar_mul(mu, x))
     return _rel_dist(A, lhs, rhs), {
@@ -208,7 +198,7 @@ def _law_scalar_sum_distributes(A, rng, tol):
 
 def _law_scalar_action_composes(A, rng, tol):
     x = A.sample(rng)
-    lam, mu = _rand_scalar(rng, A.pair), _rand_scalar(rng, A.pair)
+    lam, mu = random_point(rng, A.pair), random_point(rng, A.pair)
     lhs = A.scalar_mul(c_mul(lam, mu), x)
     rhs = A.scalar_mul(lam, A.scalar_mul(mu, x))
     return _rel_dist(A, lhs, rhs), {
@@ -269,7 +259,7 @@ def _law_right_distributes(A, rng, tol):
 
 def _law_scalar_slides(A, rng, tol):
     x, y = A.sample(rng), A.sample(rng)
-    lam = _rand_scalar(rng, A.pair)
+    lam = random_point(rng, A.pair)
     mid = A.scalar_mul(lam, A.mul(x, y))
     r = max(
         _rel_dist(A, mid, A.mul(A.scalar_mul(lam, x), y)),
@@ -293,7 +283,7 @@ def _law_definiteness(A, rng, tol):
 
 def _law_homogeneity(A, rng, tol):
     x = A.sample(rng)
-    lam = _rand_scalar(rng, A.pair)
+    lam = random_point(rng, A.pair)
     n1 = A.norm(A.scalar_mul(lam, x)).preimage
     n2 = abs(lam.as_complex) * A.norm(x).preimage
     return _num_gap(n1, n2), {**_desc(A, x=x), "scalar": _scalar_desc(lam)}
@@ -322,7 +312,7 @@ def _law_star_additive(A, rng, tol):
 
 def _law_star_conjugate_linear(A, rng, tol):
     x = A.sample(rng)
-    lam = _rand_scalar(rng, A.pair)
+    lam = random_point(rng, A.pair)
     lhs = A.involution(A.scalar_mul(lam, x))
     rhs = A.scalar_mul(c_conj(lam), A.involution(x))
     return _rel_dist(A, lhs, rhs), {**_desc(A, x=x), "scalar": _scalar_desc(lam)}
@@ -482,6 +472,8 @@ def _run_trials(
     No early exit: the report has the worst residual and the first
     counterexample. A law that raises StarError fails the run, with the
     error text as its counterexample."""
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     rng = random.Random(seed)
     worst = 0.0
     counterexample: dict[str, Any] | None = None
@@ -527,11 +519,72 @@ def run_axiom_suite(
     seed: int = 0,
 ) -> AxiomReport:
     """Run one law suite against a carrier; see ``_run_trials``."""
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
     laws, notes = _suite_laws(suite, A)
     bound = [(name, lambda rng, law=law: law(A, rng, tol)) for name, law in laws]
     return _run_trials(bound, suite, A.pair, trials, tol, seed, tuple(notes))
+
+
+def subalgebra_closure_check(
+    A: Algebra,
+    subset: SubsetSpec,
+    trials: int = 500,
+    tol: float = 1e-9,
+    seed: int = 0,
+) -> AxiomReport:
+    """Audit that a subset is closed under the carrier's operations.
+
+    Checks the zero, the sampler's own consistency, and closure under
+    addition, scalar action, multiplication, and (when the subset asks)
+    the involution; each is a law run by ``_run_trials`` on members drawn
+    for it alone. Membership is yes or no, so a miss scores above
+    ``tol`` and fails the report at any tolerance.
+    """
+    if subset.star_closed and A.involution is None:
+        raise MissingInvolutionError(
+            f"{A.name}: subset claims star closure but the carrier"
+            " has no involution"
+        )
+    draw = subset.sample_member
+
+    def outside(x: Any) -> float:
+        return 0.0 if subset.contains(x, tol) else _VIOLATION + tol
+
+    def law_sampler(rng):
+        x = draw(rng)
+        return outside(x), _desc(A, x=x)
+
+    def law_add(rng):
+        x, y = draw(rng), draw(rng)
+        return outside(A.add(x, y)), _desc(A, x=x, y=y)
+
+    def law_scalar(rng):
+        x, lam = draw(rng), random_point(rng, A.pair)
+        return outside(A.scalar_mul(lam, x)), {
+            **_desc(A, x=x),
+            "scalar": _scalar_desc(lam),
+        }
+
+    def law_mul(rng):
+        x, y = draw(rng), draw(rng)
+        return outside(A.mul(x, y)), _desc(A, x=x, y=y)
+
+    def law_star(rng):
+        x = draw(rng)
+        return outside(A.involution(x)), _desc(A, x=x)
+
+    laws = [
+        ("zero-membership", lambda rng: (outside(A.zero), None)),
+        ("sampler-consistency", law_sampler),
+        ("closed-under-addition", law_add),
+        ("closed-under-scalar", law_scalar),
+        ("closed-under-multiplication", law_mul),
+    ]
+    if subset.star_closed:
+        laws.append(("closed-under-star", law_star))
+    return _run_trials(
+        laws, "subalgebra-closure", A.pair, trials, tol, seed,
+        (f"subset: {subset.name}",),
+    )
 
 
 # ---------------------------------------------------------------------------

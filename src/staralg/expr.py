@@ -24,7 +24,7 @@ This module knows nothing about generators: trees are pure data.
 reading of a tree is a leaf function plus a table of ops over it. The
 printer ``to_text`` is one, ``eval_classical`` over the ordinary complex
 numbers (the pullback route) is another, and the direct route lives in
-star_complex.
+star_complex. Node ``==`` and ``hash`` compare the same post-orders.
 """
 
 from __future__ import annotations
@@ -66,10 +66,33 @@ class Var:
     name: str = "z"
 
 
+def _key(node: Node) -> tuple:
+    # a post-order with each op tagged by its node type fixes the tree
+    return tuple(
+        (type(n), n.op) if isinstance(n, (Unary, Binary)) else n
+        for n in _post_order(node)
+    )
+
+
+def _node_eq(self: Node, other: Any) -> Any:
+    """The dataclass ``==`` (same type, fields equal one by one, so
+    0.0 == -0.0), read off the post-orders instead of recursing."""
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    return self is other or _key(self) == _key(other)
+
+
+def _node_hash(self: Node) -> int:
+    return hash(_key(self))
+
+
 @dataclass(frozen=True)
 class Unary:
     op: str  # "conj" | "norm" | "neg"
     child: "Node"
+
+    __eq__ = _node_eq
+    __hash__ = _node_hash
 
 
 @dataclass(frozen=True)
@@ -77,6 +100,9 @@ class Binary:
     op: str  # "add" | "sub" | "mul" | "div"
     left: "Node"
     right: "Node"
+
+    __eq__ = _node_eq
+    __hash__ = _node_hash
 
 
 Node = Union[Lit, Var, Unary, Binary]
@@ -296,16 +322,13 @@ def parse_expr(src: str) -> Node:
 # ---------------------------------------------------------------------------
 # the one tree walk, and the printer as one reading of it
 
-_last: tuple[Node | None, list[Node]] = (None, [])  # see fold
+_last: tuple[Node | None, list[Node]] = (None, [])
 
 
-def fold(node: Node, leaf: Callable[[Node], Any], ops: dict[str, Callable]) -> Any:
-    """Fold a tree bottom-up on an explicit stack: ``leaf(n)`` is the value
-    of a Lit or Var, and ``ops[n.op]`` maps a node's child values to its
-    own. A StarError without a subterm gets the text of the node that
-    raised, the first failing node in post-order. The post-order of the
-    last tree is kept, since per-point callers fold one tree many times;
-    trees are frozen, so ``is`` is an exact test."""
+def _post_order(node: Node) -> list[Node]:
+    """The nodes of a tree in post-order, found on an explicit stack. The
+    last tree's is kept, since per-point callers fold one tree many
+    times; trees are frozen, so ``is`` is an exact test."""
     global _last
     if _last[0] is not node:
         order, todo = [], [node]
@@ -318,9 +341,17 @@ def fold(node: Node, leaf: Callable[[Node], Any], ops: dict[str, Callable]) -> A
                 todo.append(n.child)
         order.reverse()
         _last = (node, order)
+    return _last[1]
+
+
+def fold(node: Node, leaf: Callable[[Node], Any], ops: dict[str, Callable]) -> Any:
+    """Fold a tree bottom-up along its post-order: ``leaf(n)`` is the value
+    of a Lit or Var, and ``ops[n.op]`` maps a node's child values to its
+    own. A StarError without a subterm gets the text of the node that
+    raised, the first failing node in post-order."""
     vals: list[Any] = []
     try:
-        for n in _last[1]:
+        for n in _post_order(node):
             if isinstance(n, Binary):
                 right = vals.pop()
                 vals[-1] = ops[n.op](vals[-1], right)
@@ -335,16 +366,17 @@ def fold(node: Node, leaf: Callable[[Node], Any], ops: dict[str, Callable]) -> A
     return vals[0]
 
 
-# printer values are (text, precedence); leaves and unary nodes bind
-# tightest, at 3
-def _paren(v: tuple[str, int], prec: int) -> str:
-    return v[0] if v[1] >= prec else f"({v[0]})"
+# printer values are (pieces, precedence); leaves and unary nodes bind
+# tightest, at 3. Pieces are a string or a tuple of pieces, joined once
+# at the end: copying child text into each parent is quadratic in depth.
+def _paren(v: tuple[Any, int], prec: int) -> Any:
+    return v[0] if v[1] >= prec else ("(", v[0], ")")
 
 
 def _infix(sym: str, prec: int) -> Callable:
     # the grammar is left-associative, so an equal-precedence right child
     # needs parentheses to survive a round trip
-    return lambda a, b: (f"{_paren(a, prec)}{sym}{_paren(b, prec + 1)}", prec)
+    return lambda a, b: ((_paren(a, prec), sym, _paren(b, prec + 1)), prec)
 
 
 _TEXT_OPS = {
@@ -352,9 +384,9 @@ _TEXT_OPS = {
     "sub": _infix("-", 1),
     "mul": _infix("*", 2),
     "div": _infix("/", 2),
-    "neg": lambda v: ("-" + _paren(v, 3), 3),
-    "conj": lambda v: (f"conj({v[0]})", 3),
-    "norm": lambda v: (f"norm({v[0]})", 3),
+    "neg": lambda v: (("-", _paren(v, 3)), 3),
+    "conj": lambda v: (("conj(", v[0], ")"), 3),
+    "norm": lambda v: (("norm(", v[0], ")"), 3),
 }
 
 
@@ -362,9 +394,20 @@ def _text_leaf(n: Node) -> tuple[str, int]:
     return (f"({n.a!r},{n.b!r})" if isinstance(n, Lit) else n.name), 3
 
 
+def _join(pieces: Any) -> str:
+    out, todo = [], [pieces]
+    while todo:
+        p = todo.pop()
+        if type(p) is str:
+            out.append(p)
+        else:
+            todo += reversed(p)
+    return "".join(out)
+
+
 def to_text(node: Node) -> str:
     """Render a tree back to the grammar; parse(to_text(t)) == t."""
-    return fold(node, _text_leaf, _TEXT_OPS)[0]
+    return _join(fold(node, _text_leaf, _TEXT_OPS)[0])
 
 
 # ---------------------------------------------------------------------------

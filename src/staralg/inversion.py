@@ -56,6 +56,27 @@ def _residuals(A: Algebra, x: Any, candidate: Any) -> tuple[StarReal, StarReal]:
     return right, left
 
 
+def _geometric_series(
+    A: Algebra, x: Any, ratio: Any, right: Any, tol: float, max_terms: int
+) -> InversionReport:
+    """Fold unit + ratio + ratio^2 + ... and monitor the candidate, the
+    partial sum times ``right`` (the partial sum itself when ``right`` is
+    None), against x. Stops once both residuals are within ``tol`` or
+    ``max_terms`` partial sums have been taken."""
+    total = term = A.unit
+    used = 1
+    while True:
+        candidate = total if right is None else A.mul(total, right)
+        r, l = _residuals(A, x, candidate)
+        if max(r.preimage, l.preimage) <= tol:
+            return InversionReport(candidate, True, used, r, l)
+        if used >= max_terms:
+            return InversionReport(candidate, False, used, r, l)
+        term = A.mul(term, ratio)
+        total = A.add(total, term)
+        used += 1
+
+
 def neumann_inverse(
     A: Algebra, x: Any, tol: float = 1e-10, max_terms: int = 10_000
 ) -> InversionReport:
@@ -76,18 +97,7 @@ def neumann_inverse(
         raise NotApplicableError(
             f"norm of (unit - x) is {gap!r}, not inside the unit ball"
         )
-    total = A.unit
-    term = A.unit
-    used = 1
-    while True:
-        right, left = _residuals(A, x, total)
-        if max(right.preimage, left.preimage) <= tol:
-            return InversionReport(total, True, used, right, left)
-        if used >= max_terms:
-            return InversionReport(total, False, used, right, left)
-        term = A.mul(term, w)
-        total = A.add(total, term)
-        used += 1
+    return _geometric_series(A, x, w, None, tol, max_terms)
 
 
 def perturbative_inverse(
@@ -121,19 +131,7 @@ def perturbative_inverse(
             f"norm(x - x0) = {d!r} is not below 1/norm(x0_inv) = {1.0 / m!r}"
         )
     u = A.mul(x0_inv, A.sub(x0, x))
-    total = A.unit
-    term = A.unit
-    used = 1
-    while True:
-        candidate = A.mul(total, x0_inv)
-        right, left = _residuals(A, x, candidate)
-        if max(right.preimage, left.preimage) <= tol:
-            return InversionReport(candidate, True, used, right, left)
-        if used >= max_terms:
-            return InversionReport(candidate, False, used, right, left)
-        term = A.mul(term, u)
-        total = A.add(total, term)
-        used += 1
+    return _geometric_series(A, x, u, x0_inv, tol, max_terms)
 
 
 @dataclass(frozen=True)

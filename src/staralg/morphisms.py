@@ -1,15 +1,19 @@
 """Maps between carriers: evaluation functionals, homomorphism audits,
 kernels, and the quotient by an evaluation ideal.
 
-The checks return the same report type as the axiom harness, so the CLI
-and the scripts render them identically. A handle remembers which of
-its properties have been verified; nothing is assumed up front.
+The checks run their laws through the axiom harness's trial runner, so
+they return the same report type and the CLI and the scripts render
+them identically. A law that two checks share (multiplicativity, and
+intertwining the involutions) is written once, over the handle. A
+handle remembers which of its properties have been verified; nothing is
+assumed up front.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable
 
 from .algebra import (
@@ -22,7 +26,7 @@ from .algebra import (
     quotient_norm,
     scalar_algebra,
 )
-from .axiom_harness import _rel_dist, _run_trials
+from .axiom_harness import _desc, _rel_dist, _run_trials, _scalar_desc
 from .errors import MissingInvolutionError, MissingUnitError
 from .report import AxiomReport
 from .star_complex import StarComplex, c_norm, from_preimages, random_point
@@ -76,6 +80,26 @@ def evaluation_functional(dom: GridDomain, at: StarComplex) -> HomomorphismHandl
     )
 
 
+# laws shared by more than one check: each draws from rng and returns
+# (residual, payload) for the handle's map
+
+
+def _law_multiplicative(h: HomomorphismHandle, rng: random.Random):
+    src, tgt, phi = h.source, h.target, h.map
+    x, y = src.sample(rng), src.sample(rng)
+    lhs = phi(src.mul(x, y))
+    rhs = tgt.mul(phi(x), phi(y))
+    return _rel_dist(tgt, lhs, rhs), _desc(src, x=x, y=y)
+
+
+def _law_star_intertwines(h: HomomorphismHandle, rng: random.Random):
+    src, tgt, phi = h.source, h.target, h.map
+    x = src.sample(rng)
+    lhs = phi(src.involution(x))
+    rhs = tgt.involution(phi(x))
+    return _rel_dist(tgt, lhs, rhs), _desc(src, x=x)
+
+
 def homomorphism_check(
     h: HomomorphismHandle, trials: int = 500, tol: float = 1e-9, seed: int = 0
 ) -> AxiomReport:
@@ -91,28 +115,12 @@ def homomorphism_check(
         lhs = phi(src.add(x, src.scalar_mul(lam, y)))
         rhs = tgt.add(phi(x), tgt.scalar_mul(lam, phi(y)))
         return _rel_dist(tgt, lhs, rhs), {
-            "x": src.describe(x),
-            "y": src.describe(y),
-            "scalar": list(lam.preimages),
+            **_desc(src, x=x, y=y),
+            "scalar": _scalar_desc(lam),
         }
 
-    def law_multiplicative(rng):
-        x, y = src.sample(rng), src.sample(rng)
-        lhs = phi(src.mul(x, y))
-        rhs = tgt.mul(phi(x), phi(y))
-        return _rel_dist(tgt, lhs, rhs), {
-            "x": src.describe(x),
-            "y": src.describe(y),
-        }
-
-    report = _run_trials(
-        [("linear", law_linear), ("multiplicative", law_multiplicative)],
-        suite="homomorphism",
-        pair=src.pair,
-        trials=trials,
-        tol=tol,
-        seed=seed,
-    )
+    laws = [("linear", law_linear), ("multiplicative", partial(_law_multiplicative, h))]
+    report = _run_trials(laws, "homomorphism", src.pair, trials, tol, seed)
     if report.passed:
         h.linear_verified = True
         h.multiplicative_verified = True
@@ -123,23 +131,12 @@ def star_homomorphism_check(
     h: HomomorphismHandle, trials: int = 500, tol: float = 1e-9, seed: int = 0
 ) -> AxiomReport:
     """Audit that the map intertwines the two involutions."""
-    src, tgt, phi = h.source, h.target, h.map
-    if src.involution is None or tgt.involution is None:
+    if h.source.involution is None or h.target.involution is None:
         raise MissingInvolutionError(
             "star check needs involutions on both carriers"
         )
-
-    def law_star(rng):
-        x = src.sample(rng)
-        lhs = phi(src.involution(x))
-        rhs = tgt.involution(phi(x))
-        return _rel_dist(tgt, lhs, rhs), {"x": src.describe(x)}
-
-    report = _run_trials(
-        [("star-intertwines", law_star)],
-        suite="star-homomorphism", pair=src.pair, trials=trials, tol=tol,
-        seed=seed,
-    )
+    laws = [("star-intertwines", partial(_law_star_intertwines, h))]
+    report = _run_trials(laws, "star-homomorphism", h.source.pair, trials, tol, seed)
     if report.passed:
         h.star_verified = True
     return report
@@ -185,8 +182,9 @@ def kernel_image_closure_check(
     action, and absorption from both sides) and, when both carriers are
     involutive and the map intertwines the stars, self-adjoint. The
     image must be closed under the target operations (checked through
-    pushforwards). Residuals for kernel laws are the norms of mapped
-    elements that should vanish.
+    pushforwards; image-mul and image-star are the laws that
+    homomorphism_check and star_homomorphism_check run). Residuals for
+    kernel laws are the norms of mapped elements that should vanish.
     """
     src, tgt, phi = h.source, h.target, h.map
     sample_k = kernel_sampler if kernel_sampler is not None else _default_kernel_sampler(h)
@@ -198,58 +196,34 @@ def kernel_image_closure_check(
 
     def law_kernel_sampler(rng):
         k = sample_k(rng)
-        return norm_of_mapped(k), {"k": src.describe(k)}
+        return norm_of_mapped(k), _desc(src, k=k)
 
     def law_kernel_add(rng):
         k1, k2 = sample_k(rng), sample_k(rng)
-        return norm_of_mapped(src.add(k1, k2)), {
-            "k1": src.describe(k1),
-            "k2": src.describe(k2),
-        }
+        return norm_of_mapped(src.add(k1, k2)), _desc(src, k1=k1, k2=k2)
 
     def law_kernel_scalar(rng):
         k = sample_k(rng)
         lam = random_point(rng, src.pair)
         return norm_of_mapped(src.scalar_mul(lam, k)), {
-            "k": src.describe(k),
-            "scalar": list(lam.preimages),
+            **_desc(src, k=k),
+            "scalar": _scalar_desc(lam),
         }
 
     def law_kernel_absorbs(rng):
-        k = sample_k(rng)
-        x = src.sample(rng)
-        r = max(
-            norm_of_mapped(src.mul(x, k)), norm_of_mapped(src.mul(k, x))
-        )
-        return r, {"k": src.describe(k), "x": src.describe(x)}
+        k, x = sample_k(rng), src.sample(rng)
+        r = max(norm_of_mapped(src.mul(x, k)), norm_of_mapped(src.mul(k, x)))
+        return r, _desc(src, k=k, x=x)
 
     def law_kernel_star(rng):
         k = sample_k(rng)
-        return norm_of_mapped(src.involution(k)), {"k": src.describe(k)}
+        return norm_of_mapped(src.involution(k)), _desc(src, k=k)
 
     def law_image_add(rng):
         x, y = src.sample(rng), src.sample(rng)
         lhs = tgt.add(phi(x), phi(y))
         rhs = phi(src.add(x, y))
-        return _rel_dist(tgt, lhs, rhs), {
-            "x": src.describe(x),
-            "y": src.describe(y),
-        }
-
-    def law_image_mul(rng):
-        x, y = src.sample(rng), src.sample(rng)
-        lhs = tgt.mul(phi(x), phi(y))
-        rhs = phi(src.mul(x, y))
-        return _rel_dist(tgt, lhs, rhs), {
-            "x": src.describe(x),
-            "y": src.describe(y),
-        }
-
-    def law_image_star(rng):
-        x = src.sample(rng)
-        lhs = tgt.involution(phi(x))
-        rhs = phi(src.involution(x))
-        return _rel_dist(tgt, lhs, rhs), {"x": src.describe(x)}
+        return _rel_dist(tgt, lhs, rhs), _desc(src, x=x, y=y)
 
     laws = [
         ("kernel-sampler", law_kernel_sampler),
@@ -257,15 +231,14 @@ def kernel_image_closure_check(
         ("kernel-scalar", law_kernel_scalar),
         ("kernel-absorbs", law_kernel_absorbs),
         ("image-add", law_image_add),
-        ("image-mul", law_image_mul),
+        ("image-mul", partial(_law_multiplicative, h)),
     ]
     if starred:
         laws.insert(4, ("kernel-star", law_kernel_star))
-        laws.append(("image-star", law_image_star))
+        laws.append(("image-star", partial(_law_star_intertwines, h)))
 
     return _run_trials(
-        laws, suite="kernel-image-closure", pair=src.pair,
-        trials=trials, tol=tol, seed=seed, notes=notes,
+        laws, "kernel-image-closure", src.pair, trials, tol, seed, notes
     )
 
 
@@ -284,10 +257,9 @@ def unital_functional_check(
         raise MissingUnitError("unital check needs a unital source")
     if tgt.name != "scalar":
         raise ValueError("unital check expects a scalar-valued functional")
-    one_t = tgt.unit
 
     def law_unit_maps_to_one(rng):
-        return _rel_dist(tgt, phi(src.unit), one_t), {"element": "unit"}
+        return _rel_dist(tgt, phi(src.unit), tgt.unit), {"element": "unit"}
 
     def scaled_sample(rng, target_norm: float):
         x = src.sample(rng)
@@ -304,27 +276,21 @@ def unital_functional_check(
         x = src.add(src.unit, w)
         value = c_norm(phi(x)).preimage
         if value <= 1e-9:
-            return 1.0, {"x": src.describe(x), "value": value}
+            return 1.0, {**_desc(src, x=x), "value": value}
         return 0.0, None
 
     def law_contraction(rng):
         x = scaled_sample(rng, rng.uniform(0.0, 2.0))
         nx = src.norm(x).preimage
         nv = c_norm(phi(x)).preimage
-        return max(0.0, nv - nx) / max(1.0, nx), {"x": src.describe(x)}
+        return max(0.0, nv - nx) / max(1.0, nx), _desc(src, x=x)
 
-    report = _run_trials(
-        [
-            ("unit-maps-to-one", law_unit_maps_to_one),
-            ("invertible-nonvanishing", law_invertible_nonvanishing),
-            ("contraction", law_contraction),
-        ],
-        suite="unital-functional",
-        pair=src.pair,
-        trials=trials,
-        tol=tol,
-        seed=seed,
-    )
+    laws = [
+        ("unit-maps-to-one", law_unit_maps_to_one),
+        ("invertible-nonvanishing", law_invertible_nonvanishing),
+        ("contraction", law_contraction),
+    ]
+    report = _run_trials(laws, "unital-functional", src.pair, trials, tol, seed)
     if report.passed:
         h.unital_verified = True
     return report

@@ -5,16 +5,22 @@ import pytest
 from staralg import (
     AxiomReport,
     GridFunction,
+    MissingInvolutionError,
     StarPolynomial,
     StarReal,
     SUITES,
+    SubsetSpec,
     UnsupportedSuiteError,
     broken_involution,
     broken_mul,
     broken_norm,
     broken_zero,
     emit_report,
+    evaluation_functional,
+    from_preimages,
     grid_algebra,
+    homomorphism_check,
+    kernel_image_closure_check,
     make_disk_domain,
     pair_of,
     polynomial_algebra,
@@ -22,6 +28,9 @@ from staralg import (
     report_to_dict,
     run_axiom_suite,
     scalar_algebra,
+    star_homomorphism_check,
+    subalgebra_closure_check,
+    unital_functional_check,
 )
 
 IE = pair_of("identity", "exp")
@@ -190,3 +199,60 @@ def test_report_class_is_frozen():
     with pytest.raises(Exception):
         r.passed = False
     assert report_to_dict(r)["passed"] is True
+
+
+# ---------------------------------------------------------------------------
+# subset closure on the trial runner
+
+
+def _line_subset(pair):
+    """Points whose first preimage is 0 or 1: holds the zero and every
+    member, loses every sum. ``contains`` ignores the tolerance."""
+    return SubsetSpec(
+        name="two vertical lines",
+        contains=lambda x, tol: x.preimages[0] in (0.0, 1.0),
+        sample_member=lambda rng: from_preimages(pair, 1.0, rng.uniform(-3, 3)),
+    )
+
+
+@pytest.mark.parametrize("tol", [1.0, 5.0])
+def test_a_subset_that_loses_sums_fails_at_any_tolerance(tol):
+    report = subalgebra_closure_check(scalar(IE), _line_subset(IE), trials=20, tol=tol)
+    assert not report.passed
+    assert report.worst_residual > tol
+    ce = report.counterexample
+    assert (ce["law"], ce["trial"]) == ("closed-under-addition", 0)
+    assert ce["residual"] > tol
+    assert report.notes == ("subset: two vertical lines",)
+
+
+def test_star_closure_without_an_involution_raises_before_any_draw():
+    P = polynomial_algebra(make_disk_domain(IE, 1, 4))
+    draws = []
+    subset = SubsetSpec(
+        name="everything",
+        contains=lambda x, tol: True,
+        sample_member=lambda rng: draws.append(rng) or P.sample(rng),
+        star_closed=True,
+    )
+    with pytest.raises(MissingInvolutionError, match="star closure"):
+        subalgebra_closure_check(P, subset, trials=5)
+    assert draws == []
+
+
+def test_every_check_refuses_zero_trials():
+    dom = make_disk_domain(IE, 1, 4)
+    h = evaluation_functional(dom, dom.points[1])
+    subset = SubsetSpec("everything", lambda x, tol: True, grid(IE).sample)
+    runs = [
+        lambda: run_axiom_suite("norm", scalar(IE), trials=0),
+        lambda: subalgebra_closure_check(grid(IE), subset, trials=0),
+        lambda: homomorphism_check(h, trials=0),
+        lambda: star_homomorphism_check(h, trials=0),
+        lambda: kernel_image_closure_check(h, trials=0),
+        lambda: unital_functional_check(h, trials=0),
+    ]
+    for run in runs:
+        with pytest.raises(ValueError, match="trials must be at least 1"):
+            run()
+    assert not (h.linear_verified or h.star_verified or h.unital_verified)

@@ -8,6 +8,7 @@ the same values to the bit and the same errors, naming the same subterm.
 
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -294,3 +295,69 @@ def test_a_20000_node_chain_prints_and_parses_back(monkeypatch):
 )
 def test_safe_random_tree_draws_are_unchanged(seed, text):
     assert to_text(safe_random_tree(random.Random(seed), 4, True)) == text
+
+
+# ---------------------------------------------------------------------------
+# node equality and hashing walk an explicit stack too
+
+
+def _chain(nodes, bottom=Lit(1.2345678901234567, -7.654321098765432)):
+    # a left-deep chain of (nodes - 1) / 2 additions over 39-character
+    # literals; ``bottom`` is its deepest leaf
+    t = bottom
+    for _ in range((nodes - 1) // 2):
+        t = Binary("add", t, Lit(1.2345678901234567, -7.654321098765432))
+    return t
+
+
+@pytest.mark.parametrize("nodes", [3001, 100_001])
+def test_separately_built_deep_chains_compare_and_hash(nodes):
+    a, b = _chain(nodes), _chain(nodes)
+    assert a is not b
+    assert a == b and not (a != b)
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert a != _chain(nodes, bottom=Lit(1.2345678901234567, -7.65432109876543))
+
+
+def test_a_100001_node_chain_prints_in_linear_time():
+    t = _chain(100_001)
+    start = time.perf_counter()
+    text = to_text(t)
+    # the quadratic printer took about 19 s here; the joined one well
+    # under 1 s, so the bound only catches a return to copying
+    assert time.perf_counter() - start < 10.0
+    assert text == "+".join(["(1.2345678901234567,-7.654321098765432)"] * 50_001)
+
+
+def _ref_eq(a, b):
+    """The dataclass ``==``, recursive, for small trees."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, Binary):
+        return a.op == b.op and _ref_eq(a.left, b.left) and _ref_eq(a.right, b.right)
+    if isinstance(a, Unary):
+        return a.op == b.op and _ref_eq(a.child, b.child)
+    return a == b
+
+
+def test_node_equality_keeps_the_dataclass_semantics():
+    zero, neg_zero = Lit(0.0, 0.0), Lit(-0.0, 0.0)
+    assert Unary("neg", zero) == Unary("neg", neg_zero)
+    assert hash(Unary("neg", zero)) == hash(Unary("neg", neg_zero))
+    assert Unary("neg", Var()) != Unary("conj", Var())
+    assert Unary("neg", Var()) != Unary("neg", Var("w"))
+    assert Unary("neg", Var()) != Unary("neg", Lit(0.0, 0.0))
+    assert Binary("add", Var(), Var()) != Unary("neg", Var())
+    assert Binary("add", Var(), Var()) != "z+z"
+    rng = random.Random(4)
+    # small trees over few leaves, so that many pairs are equal
+    trees = [random_tree(rng, rng.randint(0, 3)) for _ in range(400)]
+    trees = [parse_expr(to_text(t)) for t in trees] + trees
+    equal = 0
+    for a, b in zip(trees, trees[len(trees) // 2 :] + trees[1:]):
+        assert (a == b) == _ref_eq(a, b), (to_text(a), to_text(b))
+        if a == b:
+            equal += 1
+            assert hash(a) == hash(b)
+    assert equal >= 400
