@@ -3,10 +3,13 @@
 ``_run_trials`` is the one trial runner, for the six suites (field,
 vector-space, norm, normed-algebra, involution, c-star), the
 subset-closure check and the checks in morphisms. Each law is evaluated
-on fresh random tuples every trial; the report carries the worst
-normalized residual and the first counterexample (preimages only).
-Residuals are scaled by max(1, operand magnitude), so the tolerance
-reads as absolute near zero and relative at scale.
+on fresh random tuples every trial and returns its residual and the
+operands it drew; the report carries the worst normalized residual and
+the first counterexample, whose operands alone the runner renders
+(preimages only). The suites are one table of named laws; only what
+depends on the carrier is decided when a suite is assembled. Residuals
+are scaled by max(1, operand magnitude) in ``_scaled``, so the
+tolerance reads as absolute near zero and relative at scale.
 
 The module also ships deliberately broken carrier mutants (wrong zero,
 constant norm, scaled multiplication, dropped conjugation) used to show
@@ -53,23 +56,16 @@ __all__ = [
     "broken_involution",
 ]
 
-SUITES = (
-    "field",
-    "vector-space",
-    "norm",
-    "normed-algebra",
-    "involution",
-    "c-star",
-)
-
 # violations that have no meaningful magnitude still need to trip the
 # tolerance comparison; anything >= this is an unambiguous failure
 _VIOLATION = 1.0
 
 # elements taking part in division or definiteness checks stay at least
 # this far from zero; 1/0.01 = 100 is representable under every built-in
-# generator, unlike 1/1e-6 under exp
+# generator, unlike 1/1e-6 under exp. A law gives up (does not apply)
+# after this many draws below the floor.
 _NONZERO_FLOOR = 0.01
+_NONZERO_ATTEMPTS = 64
 
 # the documented guard: inverses are only demanded above this modulus
 _INVERSE_GUARD = 1e-6
@@ -79,12 +75,10 @@ _INVERSE_GUARD = 1e-6
 # sampling helpers
 
 
-def _sample_away_from_zero(
-    A: Algebra, rng: random.Random, floor: float, attempts: int = 64
-):
-    for _ in range(attempts):
+def _sample_away_from_zero(A: Algebra, rng: random.Random):
+    for _ in range(_NONZERO_ATTEMPTS):
         x = A.sample(rng)
-        if A.norm(x).preimage >= floor:
+        if A.norm(x).preimage >= _NONZERO_FLOOR:
             return x
     return None
 
@@ -130,51 +124,52 @@ def random_sample(
 LawFn = Callable[[Algebra, random.Random, float], "tuple[float, dict] | None"]
 
 
+def _is_scalar_carrier(A: Algebra) -> bool:
+    """Is A the field itself? Told by its elements, so mutants count."""
+    return isinstance(A.zero, StarComplex)
+
+
+def _scaled(gap: float, *magnitudes: float) -> float:
+    """The one scaling rule: absolute near zero, relative at scale."""
+    return gap / max(1.0, *magnitudes)
+
+
 def _rel_dist(A: Algebra, u: Any, v: Any) -> float:
-    d = A.distance(u, v)
-    scale = max(1.0, A.norm(u).preimage, A.norm(v).preimage)
-    return d / scale
+    return _scaled(A.distance(u, v), A.norm(u).preimage, A.norm(v).preimage)
 
 
 def _num_gap(n1: float, n2: float) -> float:
-    return abs(n1 - n2) / max(1.0, abs(n1), abs(n2))
-
-
-def _desc(A: Algebra, **named: Any) -> dict:
-    return {k: A.describe(v) for k, v in named.items()}
-
-
-def _scalar_desc(lam: StarComplex) -> list[float]:
-    return list(lam.preimages)
+    return _scaled(abs(n1 - n2), abs(n1), abs(n2))
 
 
 # ---------------------------------------------------------------------------
 # individual laws
 #
-# each law draws what it needs from rng and returns (residual, payload),
-# or None when the law does not apply to the drawn tuple
+# each law draws what it needs from rng and returns (residual, operands),
+# the operands by name, or None when the law does not apply to the drawn
+# tuple; _run_trials renders the operands of the first counterexample
 
 
 def _law_add_commutes(A, rng, tol):
     x, y = A.sample(rng), A.sample(rng)
-    return _rel_dist(A, A.add(x, y), A.add(y, x)), _desc(A, x=x, y=y)
+    return _rel_dist(A, A.add(x, y), A.add(y, x)), {"x": x, "y": y}
 
 
 def _law_add_associates(A, rng, tol):
     x, y, z = A.sample(rng), A.sample(rng), A.sample(rng)
     lhs = A.add(A.add(x, y), z)
     rhs = A.add(x, A.add(y, z))
-    return _rel_dist(A, lhs, rhs), _desc(A, x=x, y=y, z=z)
+    return _rel_dist(A, lhs, rhs), {"x": x, "y": y, "z": z}
 
 
 def _law_zero_identity(A, rng, tol):
     x = A.sample(rng)
-    return _rel_dist(A, A.add(x, A.zero), x), _desc(A, x=x)
+    return _rel_dist(A, A.add(x, A.zero), x), {"x": x}
 
 
 def _law_add_inverse(A, rng, tol):
     x = A.sample(rng)
-    return _rel_dist(A, A.add(x, A.neg(x)), A.zero), _desc(A, x=x)
+    return _rel_dist(A, A.add(x, A.neg(x)), A.zero), {"x": x}
 
 
 def _law_scalar_distributes(A, rng, tol):
@@ -182,7 +177,7 @@ def _law_scalar_distributes(A, rng, tol):
     lam = random_point(rng, A.pair)
     lhs = A.scalar_mul(lam, A.add(x, y))
     rhs = A.add(A.scalar_mul(lam, x), A.scalar_mul(lam, y))
-    return _rel_dist(A, lhs, rhs), {**_desc(A, x=x, y=y), "scalar": _scalar_desc(lam)}
+    return _rel_dist(A, lhs, rhs), {"x": x, "y": y, "scalar": lam}
 
 
 def _law_scalar_sum_distributes(A, rng, tol):
@@ -190,10 +185,7 @@ def _law_scalar_sum_distributes(A, rng, tol):
     lam, mu = random_point(rng, A.pair), random_point(rng, A.pair)
     lhs = A.scalar_mul(c_add(lam, mu), x)
     rhs = A.add(A.scalar_mul(lam, x), A.scalar_mul(mu, x))
-    return _rel_dist(A, lhs, rhs), {
-        **_desc(A, x=x),
-        "scalars": [_scalar_desc(lam), _scalar_desc(mu)],
-    }
+    return _rel_dist(A, lhs, rhs), {"x": x, "scalars": [lam, mu]}
 
 
 def _law_scalar_action_composes(A, rng, tol):
@@ -201,37 +193,34 @@ def _law_scalar_action_composes(A, rng, tol):
     lam, mu = random_point(rng, A.pair), random_point(rng, A.pair)
     lhs = A.scalar_mul(c_mul(lam, mu), x)
     rhs = A.scalar_mul(lam, A.scalar_mul(mu, x))
-    return _rel_dist(A, lhs, rhs), {
-        **_desc(A, x=x),
-        "scalars": [_scalar_desc(lam), _scalar_desc(mu)],
-    }
+    return _rel_dist(A, lhs, rhs), {"x": x, "scalars": [lam, mu]}
 
 
 def _law_unit_scalar(A, rng, tol):
     x = A.sample(rng)
-    return _rel_dist(A, A.scalar_mul(one(A.pair), x), x), _desc(A, x=x)
+    return _rel_dist(A, A.scalar_mul(one(A.pair), x), x), {"x": x}
 
 
 def _law_scalar_inverse(A, rng, tol):
     # only demanded above the modulus guard; the sampler floor keeps the
     # inverse representable under every built-in generator
-    x = _sample_away_from_zero(A, rng, _NONZERO_FLOOR)
+    x = _sample_away_from_zero(A, rng)
     if x is None or abs(x.as_complex) < _INVERSE_GUARD:
         return None
     inv = c_div(one(A.pair), x)
-    return _rel_dist(A, c_mul(x, inv), one(A.pair)), _desc(A, x=x)
+    return _rel_dist(A, c_mul(x, inv), one(A.pair)), {"x": x}
 
 
 def _law_mul_commutes(A, rng, tol):
     x, y = A.sample(rng), A.sample(rng)
-    return _rel_dist(A, A.mul(x, y), A.mul(y, x)), _desc(A, x=x, y=y)
+    return _rel_dist(A, A.mul(x, y), A.mul(y, x)), {"x": x, "y": y}
 
 
 def _law_mul_associates(A, rng, tol):
     x, y, z = A.sample(rng), A.sample(rng), A.sample(rng)
     lhs = A.mul(A.mul(x, y), z)
     rhs = A.mul(x, A.mul(y, z))
-    return _rel_dist(A, lhs, rhs), _desc(A, x=x, y=y, z=z)
+    return _rel_dist(A, lhs, rhs), {"x": x, "y": y, "z": z}
 
 
 def _law_mul_identity(A, rng, tol):
@@ -240,21 +229,21 @@ def _law_mul_identity(A, rng, tol):
         _rel_dist(A, A.mul(x, A.unit), x),
         _rel_dist(A, A.mul(A.unit, x), x),
     )
-    return r, _desc(A, x=x)
+    return r, {"x": x}
 
 
 def _law_left_distributes(A, rng, tol):
     x, y, z = A.sample(rng), A.sample(rng), A.sample(rng)
     lhs = A.mul(A.add(x, y), z)
     rhs = A.add(A.mul(x, z), A.mul(y, z))
-    return _rel_dist(A, lhs, rhs), _desc(A, x=x, y=y, z=z)
+    return _rel_dist(A, lhs, rhs), {"x": x, "y": y, "z": z}
 
 
 def _law_right_distributes(A, rng, tol):
     x, y, z = A.sample(rng), A.sample(rng), A.sample(rng)
     lhs = A.mul(z, A.add(x, y))
     rhs = A.add(A.mul(z, x), A.mul(z, y))
-    return _rel_dist(A, lhs, rhs), _desc(A, x=x, y=y, z=z)
+    return _rel_dist(A, lhs, rhs), {"x": x, "y": y, "z": z}
 
 
 def _law_scalar_slides(A, rng, tol):
@@ -265,7 +254,7 @@ def _law_scalar_slides(A, rng, tol):
         _rel_dist(A, mid, A.mul(A.scalar_mul(lam, x), y)),
         _rel_dist(A, mid, A.mul(x, A.scalar_mul(lam, y))),
     )
-    return r, {**_desc(A, x=x, y=y), "scalar": _scalar_desc(lam)}
+    return r, {"x": x, "y": y, "scalar": lam}
 
 
 def _law_zero_norm(A, rng, tol):
@@ -273,12 +262,10 @@ def _law_zero_norm(A, rng, tol):
 
 
 def _law_definiteness(A, rng, tol):
-    x = _sample_away_from_zero(A, rng, _NONZERO_FLOOR)
+    x = _sample_away_from_zero(A, rng)
     if x is None:
         return None
-    if A.norm(x).preimage <= tol:
-        return _VIOLATION, _desc(A, x=x)
-    return 0.0, None
+    return (_VIOLATION if A.norm(x).preimage <= tol else 0.0), {"x": x}
 
 
 def _law_homogeneity(A, rng, tol):
@@ -286,28 +273,28 @@ def _law_homogeneity(A, rng, tol):
     lam = random_point(rng, A.pair)
     n1 = A.norm(A.scalar_mul(lam, x)).preimage
     n2 = abs(lam.as_complex) * A.norm(x).preimage
-    return _num_gap(n1, n2), {**_desc(A, x=x), "scalar": _scalar_desc(lam)}
+    return _num_gap(n1, n2), {"x": x, "scalar": lam}
 
 
 def _law_triangle(A, rng, tol):
     x, y = A.sample(rng), A.sample(rng)
     n_sum = A.norm(A.add(x, y)).preimage
     bound = A.norm(x).preimage + A.norm(y).preimage
-    return max(0.0, n_sum - bound) / max(1.0, bound), _desc(A, x=x, y=y)
+    return _scaled(max(0.0, n_sum - bound), bound), {"x": x, "y": y}
 
 
 def _law_submultiplicative(A, rng, tol):
     x, y = A.sample(rng), A.sample(rng)
     n_prod = A.norm(A.mul(x, y)).preimage
     bound = A.norm(x).preimage * A.norm(y).preimage
-    return max(0.0, n_prod - bound) / max(1.0, bound), _desc(A, x=x, y=y)
+    return _scaled(max(0.0, n_prod - bound), bound), {"x": x, "y": y}
 
 
 def _law_star_additive(A, rng, tol):
     x, y = A.sample(rng), A.sample(rng)
     lhs = A.involution(A.add(x, y))
     rhs = A.add(A.involution(x), A.involution(y))
-    return _rel_dist(A, lhs, rhs), _desc(A, x=x, y=y)
+    return _rel_dist(A, lhs, rhs), {"x": x, "y": y}
 
 
 def _law_star_conjugate_linear(A, rng, tol):
@@ -315,34 +302,32 @@ def _law_star_conjugate_linear(A, rng, tol):
     lam = random_point(rng, A.pair)
     lhs = A.involution(A.scalar_mul(lam, x))
     rhs = A.scalar_mul(c_conj(lam), A.involution(x))
-    return _rel_dist(A, lhs, rhs), {**_desc(A, x=x), "scalar": _scalar_desc(lam)}
+    return _rel_dist(A, lhs, rhs), {"x": x, "scalar": lam}
 
 
 def _law_star_antimultiplicative(A, rng, tol):
     x, y = A.sample(rng), A.sample(rng)
     lhs = A.involution(A.mul(x, y))
     rhs = A.mul(A.involution(y), A.involution(x))
-    return _rel_dist(A, lhs, rhs), _desc(A, x=x, y=y)
+    return _rel_dist(A, lhs, rhs), {"x": x, "y": y}
 
 
 def _law_star_involutive(A, rng, tol):
     x = A.sample(rng)
-    return _rel_dist(A, A.involution(A.involution(x)), x), _desc(A, x=x)
+    return _rel_dist(A, A.involution(A.involution(x)), x), {"x": x}
 
 
 def _law_star_isometric(A, rng, tol):
     x = A.sample(rng)
-    return (
-        _num_gap(A.norm(A.involution(x)).preimage, A.norm(x).preimage),
-        _desc(A, x=x),
-    )
+    n1 = A.norm(A.involution(x)).preimage
+    return _num_gap(n1, A.norm(x).preimage), {"x": x}
 
 
 def _law_cstar_identity(A, rng, tol):
     x = A.sample(rng)
     n1 = A.norm(A.mul(A.involution(x), x)).preimage
     nx = A.norm(x).preimage
-    return _num_gap(n1, nx * nx), _desc(A, x=x)
+    return _num_gap(n1, nx * nx), {"x": x}
 
 
 def _law_unit_norm(A, rng, tol):
@@ -352,13 +337,29 @@ def _law_unit_norm(A, rng, tol):
 # ---------------------------------------------------------------------------
 # suite assembly
 
+_STAR_LAWS = [
+    ("star-additive", _law_star_additive),
+    ("star-conjugate-linear", _law_star_conjugate_linear),
+    ("star-antimultiplicative", _law_star_antimultiplicative),
+    ("star-involutive", _law_star_involutive),
+    ("star-isometric", _law_star_isometric),
+]
 
-def _suite_laws(
-    suite: str, A: Algebra
-) -> tuple[list[tuple[str, LawFn]], list[str]]:
-    notes: list[str] = []
-
-    common_vector = [
+# every suite's laws, in the order they run; what depends on the carrier
+# is added by _suite_laws
+_SUITE_TABLE: dict[str, list[tuple[str, LawFn]]] = {
+    "field": [
+        ("add-commutes", _law_add_commutes),
+        ("add-associates", _law_add_associates),
+        ("zero-identity", _law_zero_identity),
+        ("add-inverse", _law_add_inverse),
+        ("mul-commutes", _law_mul_commutes),
+        ("mul-associates", _law_mul_associates),
+        ("mul-identity", _law_mul_identity),
+        ("mul-inverse", _law_scalar_inverse),
+        ("distributes", _law_left_distributes),
+    ],
+    "vector-space": [
         ("add-commutes", _law_add_commutes),
         ("add-associates", _law_add_associates),
         ("zero-identity", _law_zero_identity),
@@ -367,100 +368,79 @@ def _suite_laws(
         ("scalar-sum-distributes", _law_scalar_sum_distributes),
         ("scalar-action-composes", _law_scalar_action_composes),
         ("unit-scalar", _law_unit_scalar),
-    ]
-    star_laws = [
-        ("star-additive", _law_star_additive),
-        ("star-conjugate-linear", _law_star_conjugate_linear),
-        ("star-antimultiplicative", _law_star_antimultiplicative),
-        ("star-involutive", _law_star_involutive),
-    ]
+    ],
+    "norm": [
+        ("zero-norm", _law_zero_norm),
+        ("definiteness", _law_definiteness),
+        ("homogeneity", _law_homogeneity),
+        ("triangle", _law_triangle),
+    ],
+    "normed-algebra": [
+        ("mul-associates", _law_mul_associates),
+        ("left-distributes", _law_left_distributes),
+        ("right-distributes", _law_right_distributes),
+        ("scalar-slides", _law_scalar_slides),
+        ("submultiplicative", _law_submultiplicative),
+    ],
+    "involution": _STAR_LAWS,
+    "c-star": _STAR_LAWS + [
+        ("cstar-identity", _law_cstar_identity),
+        ("submultiplicative", _law_submultiplicative),
+    ],
+}
 
-    if suite == "field":
-        if A.name != "scalar":
-            raise UnsupportedSuiteError(
-                "the field suite only applies to the scalar carrier"
-            )
-        return (
-            [
-                ("add-commutes", _law_add_commutes),
-                ("add-associates", _law_add_associates),
-                ("zero-identity", _law_zero_identity),
-                ("add-inverse", _law_add_inverse),
-                ("mul-commutes", _law_mul_commutes),
-                ("mul-associates", _law_mul_associates),
-                ("mul-identity", _law_mul_identity),
-                ("mul-inverse", _law_scalar_inverse),
-                ("distributes", _law_left_distributes),
-            ],
-            notes,
+SUITES = tuple(_SUITE_TABLE)
+
+
+def _suite_laws(
+    suite: str, A: Algebra
+) -> tuple[list[tuple[str, LawFn]], list[str]]:
+    if suite not in _SUITE_TABLE:
+        raise UnsupportedSuiteError(
+            f"unknown suite {suite!r}; choose from {', '.join(SUITES)}"
         )
-
+    if suite == "field" and not _is_scalar_carrier(A):
+        raise UnsupportedSuiteError(
+            "the field suite only applies to the scalar carrier"
+        )
+    if suite in ("involution", "c-star") and A.involution is None:
+        raise UnsupportedSuiteError(
+            f"the {suite} suite needs an involution; {A.name} has none"
+        )
+    laws, notes = list(_SUITE_TABLE[suite]), []
     if suite == "vector-space":
-        laws = list(common_vector)
-        if A.name == "scalar":
+        if _is_scalar_carrier(A):
             laws.append(("scalar-multiplicative-inverse", _law_scalar_inverse))
         else:
             notes.append(
                 "scalar-multiplicative-inverse law skipped: elements of"
                 f" the {A.name} carrier are not invertible in general"
             )
-        return laws, notes
-
-    if suite == "norm":
-        return (
-            [
-                ("zero-norm", _law_zero_norm),
-                ("definiteness", _law_definiteness),
-                ("homogeneity", _law_homogeneity),
-                ("triangle", _law_triangle),
-            ],
-            notes,
-        )
-
     if suite == "normed-algebra":
-        laws = [
-            ("mul-associates", _law_mul_associates),
-            ("left-distributes", _law_left_distributes),
-            ("right-distributes", _law_right_distributes),
-            ("scalar-slides", _law_scalar_slides),
-            ("submultiplicative", _law_submultiplicative),
-        ]
         if A.unit is not None:
             laws.append(("unit-laws", _law_mul_identity))
         else:
             notes.append("unit laws skipped: carrier has no unit")
-        return laws, notes
+    if suite == "c-star" and A.unit is not None:
+        laws.append(("unit-norm", _law_unit_norm))
+    return laws, notes
 
-    if suite == "involution":
-        if A.involution is None:
-            raise UnsupportedSuiteError(
-                f"the involution suite needs an involution; {A.name} has none"
-            )
-        return star_laws + [("star-isometric", _law_star_isometric)], notes
 
-    if suite == "c-star":
-        if A.involution is None:
-            raise UnsupportedSuiteError(
-                f"the c-star suite needs an involution; {A.name} has none"
-            )
-        laws = star_laws + [
-            ("star-isometric", _law_star_isometric),
-            ("cstar-identity", _law_cstar_identity),
-            ("submultiplicative", _law_submultiplicative),
-        ]
-        if A.unit is not None:
-            laws.append(("unit-norm", _law_unit_norm))
-        return laws, notes
-
-    raise UnsupportedSuiteError(
-        f"unknown suite {suite!r}; choose from {', '.join(SUITES)}"
-    )
+def _render(A: Algebra, operand: Any) -> Any:
+    """One operand of a counterexample as JSON-friendly data."""
+    if isinstance(operand, (str, float)):
+        return operand
+    if isinstance(operand, list):
+        return [_render(A, v) for v in operand]
+    if isinstance(operand, StarComplex) and not _is_scalar_carrier(A):
+        return list(operand.preimages)
+    return A.describe(operand)
 
 
 def _run_trials(
     laws: list[tuple[str, Callable[[random.Random], "tuple[float, dict] | None"]]],
     suite: str,
-    pair: GeneratorPair,
+    A: Algebra,
     trials: int,
     tol: float,
     seed: int,
@@ -468,9 +448,11 @@ def _run_trials(
 ) -> AxiomReport:
     """Evaluate every law on ``trials`` draws from one seeded rng.
 
-    A law returns (residual, payload), or None when it does not apply.
-    No early exit: the report has the worst residual and the first
-    counterexample. A law that raises StarError fails the run, with the
+    A law returns (residual, operands), or None when it does not apply;
+    the operands are elements of ``A``, field scalars, lists of scalars
+    or str/float markers, by name. No early exit: the report has the
+    worst residual and the first counterexample, whose operands alone
+    are rendered. A law that raises StarError fails the run, with the
     error text as its counterexample."""
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -489,19 +471,16 @@ def _run_trials(
                 continue
             if out is None:
                 continue
-            residual, payload = out
+            residual, operands = out
             if residual > worst:
                 worst = residual
             if residual > tol and counterexample is None:
-                counterexample = {
-                    "law": name,
-                    "trial": t,
-                    "residual": residual,
-                    **(payload or {}),
-                }
+                counterexample = {"law": name, "trial": t, "residual": residual}
+                for key, operand in operands.items():
+                    counterexample[key] = _render(A, operand)
     return AxiomReport(
         suite=suite,
-        pair=pair.names,
+        pair=A.pair.names,
         trials=trials,
         tolerance=tol,
         passed=(worst <= tol) and not errored,
@@ -521,7 +500,7 @@ def run_axiom_suite(
     """Run one law suite against a carrier; see ``_run_trials``."""
     laws, notes = _suite_laws(suite, A)
     bound = [(name, lambda rng, law=law: law(A, rng, tol)) for name, law in laws]
-    return _run_trials(bound, suite, A.pair, trials, tol, seed, tuple(notes))
+    return _run_trials(bound, suite, A, trials, tol, seed, tuple(notes))
 
 
 def subalgebra_closure_check(
@@ -551,29 +530,26 @@ def subalgebra_closure_check(
 
     def law_sampler(rng):
         x = draw(rng)
-        return outside(x), _desc(A, x=x)
+        return outside(x), {"x": x}
 
     def law_add(rng):
         x, y = draw(rng), draw(rng)
-        return outside(A.add(x, y)), _desc(A, x=x, y=y)
+        return outside(A.add(x, y)), {"x": x, "y": y}
 
     def law_scalar(rng):
         x, lam = draw(rng), random_point(rng, A.pair)
-        return outside(A.scalar_mul(lam, x)), {
-            **_desc(A, x=x),
-            "scalar": _scalar_desc(lam),
-        }
+        return outside(A.scalar_mul(lam, x)), {"x": x, "scalar": lam}
 
     def law_mul(rng):
         x, y = draw(rng), draw(rng)
-        return outside(A.mul(x, y)), _desc(A, x=x, y=y)
+        return outside(A.mul(x, y)), {"x": x, "y": y}
 
     def law_star(rng):
         x = draw(rng)
-        return outside(A.involution(x)), _desc(A, x=x)
+        return outside(A.involution(x)), {"x": x}
 
     laws = [
-        ("zero-membership", lambda rng: (outside(A.zero), None)),
+        ("zero-membership", lambda rng: (outside(A.zero), {})),
         ("sampler-consistency", law_sampler),
         ("closed-under-addition", law_add),
         ("closed-under-scalar", law_scalar),
@@ -582,7 +558,7 @@ def subalgebra_closure_check(
     if subset.star_closed:
         laws.append(("closed-under-star", law_star))
     return _run_trials(
-        laws, "subalgebra-closure", A.pair, trials, tol, seed,
+        laws, "subalgebra-closure", A, trials, tol, seed,
         (f"subset: {subset.name}",),
     )
 

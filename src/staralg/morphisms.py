@@ -3,10 +3,11 @@ kernels, and the quotient by an evaluation ideal.
 
 The checks run their laws through the axiom harness's trial runner, so
 they return the same report type and the CLI and the scripts render
-them identically. A law that two checks share (multiplicativity, and
-intertwining the involutions) is written once, over the handle. A
-handle remembers which of its properties have been verified; nothing is
-assumed up front.
+them identically. A law returns its residual and the source elements it
+drew, and the runner renders those of the first counterexample only. A
+law that two checks share (multiplicativity, and intertwining the
+involutions) is written once, over the handle. A handle remembers which
+of its properties have been verified; nothing is assumed up front.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .algebra import (
     quotient_norm,
     scalar_algebra,
 )
-from .axiom_harness import _desc, _rel_dist, _run_trials, _scalar_desc
+from .axiom_harness import _is_scalar_carrier, _rel_dist, _run_trials, _scaled
 from .errors import MissingInvolutionError, MissingUnitError
 from .report import AxiomReport
 from .star_complex import StarComplex, c_norm, from_preimages, random_point
@@ -81,7 +82,8 @@ def evaluation_functional(dom: GridDomain, at: StarComplex) -> HomomorphismHandl
 
 
 # laws shared by more than one check: each draws from rng and returns
-# (residual, payload) for the handle's map
+# (residual, operands) for the handle's map, the operands drawn from the
+# source
 
 
 def _law_multiplicative(h: HomomorphismHandle, rng: random.Random):
@@ -89,7 +91,7 @@ def _law_multiplicative(h: HomomorphismHandle, rng: random.Random):
     x, y = src.sample(rng), src.sample(rng)
     lhs = phi(src.mul(x, y))
     rhs = tgt.mul(phi(x), phi(y))
-    return _rel_dist(tgt, lhs, rhs), _desc(src, x=x, y=y)
+    return _rel_dist(tgt, lhs, rhs), {"x": x, "y": y}
 
 
 def _law_star_intertwines(h: HomomorphismHandle, rng: random.Random):
@@ -97,7 +99,7 @@ def _law_star_intertwines(h: HomomorphismHandle, rng: random.Random):
     x = src.sample(rng)
     lhs = phi(src.involution(x))
     rhs = tgt.involution(phi(x))
-    return _rel_dist(tgt, lhs, rhs), _desc(src, x=x)
+    return _rel_dist(tgt, lhs, rhs), {"x": x}
 
 
 def homomorphism_check(
@@ -114,13 +116,10 @@ def homomorphism_check(
         lam = random_point(rng, src.pair)
         lhs = phi(src.add(x, src.scalar_mul(lam, y)))
         rhs = tgt.add(phi(x), tgt.scalar_mul(lam, phi(y)))
-        return _rel_dist(tgt, lhs, rhs), {
-            **_desc(src, x=x, y=y),
-            "scalar": _scalar_desc(lam),
-        }
+        return _rel_dist(tgt, lhs, rhs), {"x": x, "y": y, "scalar": lam}
 
     laws = [("linear", law_linear), ("multiplicative", partial(_law_multiplicative, h))]
-    report = _run_trials(laws, "homomorphism", src.pair, trials, tol, seed)
+    report = _run_trials(laws, "homomorphism", src, trials, tol, seed)
     if report.passed:
         h.linear_verified = True
         h.multiplicative_verified = True
@@ -136,7 +135,7 @@ def star_homomorphism_check(
             "star check needs involutions on both carriers"
         )
     laws = [("star-intertwines", partial(_law_star_intertwines, h))]
-    report = _run_trials(laws, "star-homomorphism", h.source.pair, trials, tol, seed)
+    report = _run_trials(laws, "star-homomorphism", h.source, trials, tol, seed)
     if report.passed:
         h.star_verified = True
     return report
@@ -157,7 +156,7 @@ def _default_kernel_sampler(h: HomomorphismHandle):
     src, phi = h.source, h.map
     if src.unit is None:
         raise MissingUnitError("kernel sampling needs a unital source")
-    if h.target.name != "scalar":
+    if not _is_scalar_carrier(h.target):
         raise ValueError(
             "no default kernel sampler for a non-scalar target; pass one"
         )
@@ -196,34 +195,31 @@ def kernel_image_closure_check(
 
     def law_kernel_sampler(rng):
         k = sample_k(rng)
-        return norm_of_mapped(k), _desc(src, k=k)
+        return norm_of_mapped(k), {"k": k}
 
     def law_kernel_add(rng):
         k1, k2 = sample_k(rng), sample_k(rng)
-        return norm_of_mapped(src.add(k1, k2)), _desc(src, k1=k1, k2=k2)
+        return norm_of_mapped(src.add(k1, k2)), {"k1": k1, "k2": k2}
 
     def law_kernel_scalar(rng):
         k = sample_k(rng)
         lam = random_point(rng, src.pair)
-        return norm_of_mapped(src.scalar_mul(lam, k)), {
-            **_desc(src, k=k),
-            "scalar": _scalar_desc(lam),
-        }
+        return norm_of_mapped(src.scalar_mul(lam, k)), {"k": k, "scalar": lam}
 
     def law_kernel_absorbs(rng):
         k, x = sample_k(rng), src.sample(rng)
         r = max(norm_of_mapped(src.mul(x, k)), norm_of_mapped(src.mul(k, x)))
-        return r, _desc(src, k=k, x=x)
+        return r, {"k": k, "x": x}
 
     def law_kernel_star(rng):
         k = sample_k(rng)
-        return norm_of_mapped(src.involution(k)), _desc(src, k=k)
+        return norm_of_mapped(src.involution(k)), {"k": k}
 
     def law_image_add(rng):
         x, y = src.sample(rng), src.sample(rng)
         lhs = tgt.add(phi(x), phi(y))
         rhs = phi(src.add(x, y))
-        return _rel_dist(tgt, lhs, rhs), _desc(src, x=x, y=y)
+        return _rel_dist(tgt, lhs, rhs), {"x": x, "y": y}
 
     laws = [
         ("kernel-sampler", law_kernel_sampler),
@@ -238,7 +234,7 @@ def kernel_image_closure_check(
         laws.append(("image-star", partial(_law_star_intertwines, h)))
 
     return _run_trials(
-        laws, "kernel-image-closure", src.pair, trials, tol, seed, notes
+        laws, "kernel-image-closure", src, trials, tol, seed, notes
     )
 
 
@@ -255,7 +251,7 @@ def unital_functional_check(
     src, tgt, phi = h.source, h.target, h.map
     if src.unit is None:
         raise MissingUnitError("unital check needs a unital source")
-    if tgt.name != "scalar":
+    if not _is_scalar_carrier(tgt):
         raise ValueError("unital check expects a scalar-valued functional")
 
     def law_unit_maps_to_one(rng):
@@ -275,22 +271,20 @@ def unital_functional_check(
         w = scaled_sample(rng, rng.uniform(0.0, 0.9))
         x = src.add(src.unit, w)
         value = c_norm(phi(x)).preimage
-        if value <= 1e-9:
-            return 1.0, {**_desc(src, x=x), "value": value}
-        return 0.0, None
+        return (1.0 if value <= 1e-9 else 0.0), {"x": x, "value": value}
 
     def law_contraction(rng):
         x = scaled_sample(rng, rng.uniform(0.0, 2.0))
         nx = src.norm(x).preimage
         nv = c_norm(phi(x)).preimage
-        return max(0.0, nv - nx) / max(1.0, nx), _desc(src, x=x)
+        return _scaled(max(0.0, nv - nx), nx), {"x": x}
 
     laws = [
         ("unit-maps-to-one", law_unit_maps_to_one),
         ("invertible-nonvanishing", law_invertible_nonvanishing),
         ("contraction", law_contraction),
     ]
-    report = _run_trials(laws, "unital-functional", src.pair, trials, tol, seed)
+    report = _run_trials(laws, "unital-functional", src, trials, tol, seed)
     if report.passed:
         h.unital_verified = True
     return report

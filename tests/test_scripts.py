@@ -1,0 +1,43 @@
+"""The survey scripts run end to end and print their summaries."""
+
+import os
+import pathlib
+import subprocess
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def _run_script(name: str, *args: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=env,
+    )
+
+
+def test_run_suites_surveys_every_applicable_cell():
+    proc = _run_script("run_suites.py", "--trials", "5")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[-1] == "0 failing cells"
+    assert sum(line.startswith("== pair") for line in lines) == 4
+    # per pair: 6 suites on the scalar carrier, all but field on the grid,
+    # and the three without an involution on polynomials
+    assert sum(" pass " in line for line in lines) == 4 * (6 + 5 + 3)
+    assert "  field          on scalar     pass" in proc.stdout
+
+
+def test_inversion_sweep_reports_every_pair():
+    proc = _run_script("inversion_sweep.py", "--steps", "3")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert sum(line.startswith("== pair") for line in lines) == 4
+    assert lines.count("       1.05 rejected (outside the ball, as required)") == 4
+    assert "unexpectedly accepted" not in proc.stdout
