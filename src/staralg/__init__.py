@@ -20,7 +20,6 @@ from .algebra import (
     fn_add,
     fn_involution,
     fn_mul,
-    fn_pointwise,
     fn_scalar_mul,
     grid_algebra,
     grid_constant,

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from itertools import zip_longest
 from typing import Any, Callable
 
 from .errors import (
@@ -29,6 +30,7 @@ from .star_complex import (
     c_div,
     c_mul,
     c_norm,
+    from_classical,
     from_preimages,
     one,
     random_point,
@@ -44,7 +46,6 @@ __all__ = [
     "GridFunction",
     "grid_constant",
     "coordinate_function",
-    "fn_pointwise",
     "fn_add",
     "fn_scalar_mul",
     "fn_mul",
@@ -111,6 +112,24 @@ class Algebra:
 
     def __repr__(self) -> str:
         return f"Algebra({self.name}, pair={self.pair.names})"
+
+
+def _same(x: Any, y: Any, what: str) -> None:
+    """DomainMismatchError(what) unless x and y are the same pair, or the
+    same grid."""
+    if x is not y and x != y:
+        raise DomainMismatchError(what)
+
+
+def _draw(rng: random.Random, n: int, b: float) -> tuple[complex, ...]:
+    """n complex preimages, both parts uniform in [-b, b], drawn in the
+    order random_point draws them."""
+    return tuple(complex(rng.uniform(-b, b), rng.uniform(-b, b)) for _ in range(n))
+
+
+def _describe(x: GridFunction | StarPolynomial) -> list[list[float]]:
+    """Grid values or polynomial coefficients as preimage pairs."""
+    return [[w.real, w.imag] for w in x.preimages]
 
 
 # ---------------------------------------------------------------------------
@@ -185,8 +204,7 @@ class GridDomain:
         pair = self.pair
         has_origin = False
         for p in self.points:
-            if p.pair is not pair and p.pair != pair:
-                raise DomainMismatchError("grid point over a different pair")
+            _same(p.pair, pair, "grid point over a different pair")
             m = math.hypot(p.value.real, p.value.imag)
             # written so that a NaN modulus is refused too
             if not m <= 0.5 + _GRID_SLACK:
@@ -269,11 +287,6 @@ def _check_length(dom: GridDomain, n: int) -> None:
         raise ValueError(f"{n} values for {len(dom.points)} points")
 
 
-def _check_pair(dom: GridDomain, v: StarComplex) -> None:
-    if v.pair is not dom.pair and v.pair != dom.pair:
-        raise DomainMismatchError("value over a different pair")
-
-
 @dataclass(frozen=True, init=False)
 class GridFunction:
     """A field-valued function on a grid, stored as one tuple of complex
@@ -292,7 +305,7 @@ class GridFunction:
     def __init__(self, domain: GridDomain, values: tuple[StarComplex, ...]):
         _check_length(domain, len(values))
         for v in values:
-            _check_pair(domain, v)
+            _same(v.pair, domain.pair, "value over a different pair")
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "preimages", tuple(v.value for v in values))
 
@@ -320,13 +333,8 @@ class GridFunction:
         return self.at(self.domain.index_of(z))
 
 
-def _same_domain(f: GridFunction, g: GridFunction) -> None:
-    if f.domain is not g.domain and f.domain != g.domain:
-        raise DomainMismatchError("grid functions live over different grids")
-
-
 def grid_constant(dom: GridDomain, c: StarComplex) -> GridFunction:
-    _check_pair(dom, c)
+    _same(c.pair, dom.pair, "value over a different pair")
     return GridFunction.of_preimages(dom, (c.value,) * len(dom))
 
 
@@ -336,7 +344,7 @@ def coordinate_function(dom: GridDomain) -> GridFunction:
 
 
 def fn_add(f: GridFunction, g: GridFunction) -> GridFunction:
-    _same_domain(f, g)
+    _same(f.domain, g.domain, "grid functions live over different grids")
     return GridFunction.of_preimages(
         f.domain, tuple(u + v for u, v in zip(f.preimages, g.preimages))
     )
@@ -349,7 +357,7 @@ def fn_scalar_mul(lam: StarComplex, f: GridFunction) -> GridFunction:
 
 
 def fn_mul(f: GridFunction, g: GridFunction) -> GridFunction:
-    _same_domain(f, g)
+    _same(f.domain, g.domain, "grid functions live over different grids")
     return GridFunction.of_preimages(
         f.domain, tuple(u * v for u, v in zip(f.preimages, g.preimages))
     )
@@ -360,23 +368,6 @@ def fn_involution(f: GridFunction) -> GridFunction:
     return GridFunction.of_preimages(
         f.domain, tuple(v.conjugate() for v in f.preimages)
     )
-
-
-def fn_pointwise(kind: str, *operands: Any) -> GridFunction:
-    """Dispatch for the pointwise grid operations.
-
-    kind "add" and "mul" take two functions, "scalar_mul" takes a scalar
-    and a function, "involution" takes one function.
-    """
-    if kind == "add":
-        return fn_add(*operands)
-    if kind == "scalar_mul":
-        return fn_scalar_mul(*operands)
-    if kind == "mul":
-        return fn_mul(*operands)
-    if kind == "involution":
-        return fn_involution(*operands)
-    raise ValueError(f"unknown pointwise kind {kind!r}")
 
 
 def sup_norm(f: GridFunction) -> StarReal:
@@ -393,12 +384,7 @@ def grid_algebra(dom: GridDomain, sample_bound: float = 3.0) -> Algebra:
     pair = dom.pair
 
     def sample(rng: random.Random) -> GridFunction:
-        # both preimages uniform, drawn in the order random_point draws them
-        b = sample_bound
-        return GridFunction.of_preimages(
-            dom,
-            tuple(complex(rng.uniform(-b, b), rng.uniform(-b, b)) for _ in dom.points),
-        )
+        return GridFunction.of_preimages(dom, _draw(rng, len(dom), sample_bound))
 
     return Algebra(
         name="grid",
@@ -411,7 +397,7 @@ def grid_algebra(dom: GridDomain, sample_bound: float = 3.0) -> Algebra:
         unit=grid_constant(dom, one(pair)),
         involution=fn_involution,
         sample=sample,
-        describe=lambda f: [[w.real, w.imag] for w in f.preimages],
+        describe=_describe,
     )
 
 
@@ -419,23 +405,42 @@ def grid_algebra(dom: GridDomain, sample_bound: float = 3.0) -> Algebra:
 # polynomials over the field
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class StarPolynomial:
-    """Coefficients in increasing degree; at least the constant term."""
+    """Coefficient preimages in increasing degree; at least the constant
+    term. Stored and guarded as ``GridFunction`` values are: the
+    constructor takes field points, ``.coefficients`` builds them back.
+    """
 
     pair: GeneratorPair
-    coefficients: tuple[StarComplex, ...]
+    preimages: tuple[complex, ...]
 
-    def __post_init__(self):
-        if not self.coefficients:
+    def __init__(self, pair: GeneratorPair, coefficients: tuple[StarComplex, ...]):
+        if not coefficients:
             raise ValueError("a polynomial needs at least one coefficient")
-        for c in self.coefficients:
-            if c.pair != self.pair:
-                raise DomainMismatchError("coefficient over a different pair")
+        for c in coefficients:
+            _same(c.pair, pair, "coefficient over a different pair")
+        object.__setattr__(self, "pair", pair)
+        object.__setattr__(self, "preimages", tuple(c.value for c in coefficients))
+
+    @classmethod
+    def of_preimages(
+        cls, pair: GeneratorPair, zs: tuple[complex, ...]
+    ) -> StarPolynomial:
+        """The polynomial with coefficient preimages zs, after one guard
+        over them all."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "pair", pair)
+        object.__setattr__(p, "preimages", guard_points(pair, zs))
+        return p
+
+    @property
+    def coefficients(self) -> tuple[StarComplex, ...]:
+        return tuple(StarComplex(self.pair, w) for w in self.preimages)
 
     @property
     def degree(self) -> int:
-        return len(self.coefficients) - 1
+        return len(self.preimages) - 1
 
 
 def make_polynomial(
@@ -451,46 +456,48 @@ def make_polynomial(
 
 
 def poly_add(p: StarPolynomial, q: StarPolynomial) -> StarPolynomial:
-    if p.pair != q.pair:
-        raise DomainMismatchError("polynomials over different pairs")
-    z0 = zero(p.pair)
-    n = max(len(p.coefficients), len(q.coefficients))
-    a = list(p.coefficients) + [z0] * (n - len(p.coefficients))
-    b = list(q.coefficients) + [z0] * (n - len(q.coefficients))
-    return StarPolynomial(p.pair, tuple(c_add(u, v) for u, v in zip(a, b)))
+    _same(p.pair, q.pair, "polynomials over different pairs")
+    return StarPolynomial.of_preimages(
+        p.pair,
+        tuple(u + v for u, v in zip_longest(p.preimages, q.preimages, fillvalue=0j)),
+    )
 
 
 def poly_scalar_mul(lam: StarComplex, p: StarPolynomial) -> StarPolynomial:
-    return StarPolynomial(p.pair, tuple(c_mul(lam, c) for c in p.coefficients))
+    _same_pair(lam.pair, p.pair)
+    c = lam.value
+    return StarPolynomial.of_preimages(p.pair, tuple(c * w for w in p.preimages))
 
 
 def poly_mul(p: StarPolynomial, q: StarPolynomial) -> StarPolynomial:
-    """Coefficient convolution, folded with the field operations."""
-    if p.pair != q.pair:
-        raise DomainMismatchError("polynomials over different pairs")
-    z0 = zero(p.pair)
-    out = [z0] * (len(p.coefficients) + len(q.coefficients) - 1)
-    for i, ci in enumerate(p.coefficients):
-        for j, cj in enumerate(q.coefficients):
-            out[i + j] = c_add(out[i + j], c_mul(ci, cj))
-    return StarPolynomial(p.pair, tuple(out))
+    """Coefficient convolution on preimages."""
+    _same(p.pair, q.pair, "polynomials over different pairs")
+    out = [0j] * (len(p.preimages) + len(q.preimages) - 1)
+    for i, u in enumerate(p.preimages):
+        for j, v in enumerate(q.preimages):
+            out[i + j] += u * v
+    return StarPolynomial.of_preimages(p.pair, tuple(out))
+
+
+def _horner(zs: tuple[complex, ...], w: complex) -> complex:
+    """The polynomial with coefficient preimages zs at the preimage w."""
+    acc = zs[-1]
+    for c in reversed(zs[:-1]):
+        acc = acc * w + c
+    return acc
 
 
 def poly_eval(p: StarPolynomial, z: StarComplex) -> StarComplex:
-    """Horner evaluation with the field operations."""
-    if z.pair != p.pair:
-        raise DomainMismatchError("point over a different pair")
-    acc = p.coefficients[-1]
-    for c in reversed(p.coefficients[:-1]):
-        acc = c_add(c_mul(acc, z), c)
-    return acc
+    """Horner evaluation on preimages; only the value is guarded."""
+    _same(z.pair, p.pair, "point over a different pair")
+    return from_classical(p.pair, _horner(p.preimages, z.value))
 
 
 def poly_to_grid(p: StarPolynomial, dom: GridDomain) -> GridFunction:
     """Restrict a polynomial to a grid."""
-    if dom.pair != p.pair:
-        raise DomainMismatchError("grid over a different pair")
-    return GridFunction(dom, tuple(poly_eval(p, z) for z in dom.points))
+    _same(dom.pair, p.pair, "grid over a different pair")
+    zs = p.preimages
+    return GridFunction.of_preimages(dom, tuple(_horner(zs, w) for w in dom.preimages))
 
 
 def polynomial_algebra(
@@ -507,9 +514,7 @@ def polynomial_algebra(
 
     def sample(rng: random.Random) -> StarPolynomial:
         deg = rng.randint(0, max_sample_degree)
-        return StarPolynomial(
-            pair, tuple(random_point(rng, pair, sample_bound) for _ in range(deg + 1))
-        )
+        return StarPolynomial.of_preimages(pair, _draw(rng, deg + 1, sample_bound))
 
     return Algebra(
         name="polynomial",
@@ -522,7 +527,7 @@ def polynomial_algebra(
         unit=StarPolynomial(pair, (one(pair),)),
         involution=None,
         sample=sample,
-        describe=lambda p: [list(c.preimages) for c in p.coefficients],
+        describe=_describe,
     )
 
 
@@ -548,8 +553,7 @@ class EvaluationIdeal:
 
 def ideal_membership(I: EvaluationIdeal, f: GridFunction, tol: float = 1e-9) -> bool:
     """Does f vanish at the ideal's base point (within tol on preimages)?"""
-    if f.domain is not I.domain and f.domain != I.domain:
-        raise DomainMismatchError("function and ideal live over different grids")
+    _same(f.domain, I.domain, "function and ideal live over different grids")
     w = f.preimages[I.index]
     return math.hypot(w.real, w.imag) <= tol
 
@@ -560,8 +564,7 @@ def quotient_norm(f: GridFunction, I: EvaluationIdeal) -> StarReal:
     Every coset contains the constant function with f's value there, and
     no representative can get closer, so the infimum is attained.
     """
-    if f.domain is not I.domain and f.domain != I.domain:
-        raise DomainMismatchError("function and ideal live over different grids")
+    _same(f.domain, I.domain, "function and ideal live over different grids")
     return c_norm(f.at(I.index))
 
 
@@ -640,10 +643,7 @@ def norm_ball_subset(dom: GridDomain, radius: float = 1.0) -> SubsetSpec:
 
     def sample_member(rng: random.Random) -> GridFunction:
         target = rng.uniform(0.5 * radius, radius)
-        vals = [
-            complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
-            for _ in dom.points
-        ]
+        vals = list(_draw(rng, len(dom), 1.0))
         peak = max(abs(v) for v in vals)
         if peak == 0.0:
             vals[0] = complex(target, 0.0)
@@ -687,10 +687,9 @@ def polynomial_subset(
 
     def sample_member(rng: random.Random) -> GridFunction:
         deg = rng.randint(0, max_degree)
-        p = StarPolynomial(
-            dom.pair, tuple(random_point(rng, dom.pair, 2.0) for _ in range(deg + 1))
+        return poly_to_grid(
+            StarPolynomial.of_preimages(dom.pair, _draw(rng, deg + 1, 2.0)), dom
         )
-        return poly_to_grid(p, dom)
 
     return SubsetSpec(
         name=f"polynomials of degree <= {fit_degree} on the grid",
@@ -707,10 +706,7 @@ def ideal_subset(I: EvaluationIdeal) -> SubsetSpec:
         return ideal_membership(I, f, tol)
 
     def sample_member(rng: random.Random) -> GridFunction:
-        raw = [
-            complex(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0))
-            for _ in I.domain.points
-        ]
+        raw = _draw(rng, len(I.domain), 3.0)
         base = raw[I.index]
         # shifting by the base-point value lands exactly in the ideal
         return GridFunction.of_preimages(I.domain, tuple(v - base for v in raw))

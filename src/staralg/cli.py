@@ -321,12 +321,7 @@ def _cmd_quotient(args: argparse.Namespace, pair) -> int:
         raise ParseError("--at must be a literal pair like (a, b)", 0)
     dom, f = _grid_values(args, pair)
     at = from_preimages(pair, at_tree.a, at_tree.b)
-    try:
-        ideal = EvaluationIdeal(dom, at)
-    except ValueError as e:
-        # not on the grid: a usage problem, not a failed check
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    ideal = EvaluationIdeal(dom, at)
     qn = quotient_norm(f, ideal)
     member = ideal_membership(ideal, f, tol=args.tol)
     rep_value = f.at(ideal.index)

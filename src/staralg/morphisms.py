@@ -13,7 +13,7 @@ of its properties have been verified; nothing is assumed up front.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable
 
@@ -62,7 +62,6 @@ class HomomorphismHandle:
     multiplicative_verified: bool = False
     star_verified: bool = False
     unital_verified: bool = False
-    notes: list[str] = field(default_factory=list)
 
 
 def evaluation_functional(dom: GridDomain, at: StarComplex) -> HomomorphismHandle:

@@ -18,7 +18,6 @@ from staralg import (
     fn_add,
     fn_involution,
     fn_mul,
-    fn_pointwise,
     fn_scalar_mul,
     from_preimages,
     grid_algebra,
@@ -85,19 +84,6 @@ def test_pointwise_ops_and_sup_norm():
     assert starred.values[2].preimages == pytest.approx(
         (f.values[2].preimages[0], -f.values[2].preimages[1]), abs=1e-12
     )
-
-
-def test_fn_pointwise_dispatch():
-    dom = make_disk_domain(IE, 1, 4)
-    f = coordinate_function(dom)
-    g = grid_constant(dom, one(IE))
-    assert fn_pointwise("add", f, g).values == fn_add(f, g).values
-    assert fn_pointwise("mul", f, g).values == fn_mul(f, g).values
-    lam = from_preimages(IE, 2.0, 0.0)
-    assert fn_pointwise("scalar_mul", lam, f).values == fn_scalar_mul(lam, f).values
-    assert fn_pointwise("involution", f).values == fn_involution(f).values
-    with pytest.raises(ValueError):
-        fn_pointwise("pow", f, g)
 
 
 def test_domain_mismatch_rejected():

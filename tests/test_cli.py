@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -13,6 +14,18 @@ from staralg.cli import _inverse_matches, build_parser, main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 CASES = json.loads((GOLDEN / "cases.json").read_text())
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+
+
+def _python(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter that imports staralg from this checkout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, timeout=60, env=env
+    )
 
 
 def run(argv):
@@ -370,19 +383,12 @@ def test_eval_does_not_import_numpy():
         "assert cli.main(['eval', '(1,2)']) == 0\n"
         "print('numpy' in sys.modules)\n"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
-    )
+    proc = _python("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "False"
 
 
 def test_module_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "staralg", "eval", "(3,4)", "--json"],
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
+    proc = _python("-m", "staralg", "eval", "(3,4)", "--json")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["norm_preimage"] == pytest.approx(5.0)
