@@ -11,6 +11,7 @@ deliberately broken mutants the harness ships) plugs in unchanged.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass, field
 from itertools import zip_longest
@@ -114,9 +115,8 @@ class Algebra:
         return f"Algebra({self.name}, pair={self.pair.names})"
 
 
-def _same(x: Any, y: Any, what: str) -> None:
-    """DomainMismatchError(what) unless x and y are the same pair, or the
-    same grid."""
+def _same(x: GridDomain, y: GridDomain, what: str) -> None:
+    """DomainMismatchError(what) unless x and y are the same grid."""
     if x is not y and x != y:
         raise DomainMismatchError(what)
 
@@ -204,7 +204,7 @@ class GridDomain:
         pair = self.pair
         has_origin = False
         for p in self.points:
-            _same(p.pair, pair, "grid point over a different pair")
+            _same_pair(p.pair, pair)
             m = math.hypot(p.value.real, p.value.imag)
             # written so that a NaN modulus is refused too
             if not m <= 0.5 + _GRID_SLACK:
@@ -305,7 +305,7 @@ class GridFunction:
     def __init__(self, domain: GridDomain, values: tuple[StarComplex, ...]):
         _check_length(domain, len(values))
         for v in values:
-            _same(v.pair, domain.pair, "value over a different pair")
+            _same_pair(v.pair, domain.pair)
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "preimages", tuple(v.value for v in values))
 
@@ -334,7 +334,7 @@ class GridFunction:
 
 
 def grid_constant(dom: GridDomain, c: StarComplex) -> GridFunction:
-    _same(c.pair, dom.pair, "value over a different pair")
+    _same_pair(c.pair, dom.pair)
     return GridFunction.of_preimages(dom, (c.value,) * len(dom))
 
 
@@ -343,31 +343,34 @@ def coordinate_function(dom: GridDomain) -> GridFunction:
     return GridFunction.of_preimages(dom, dom.preimages)
 
 
-def fn_add(f: GridFunction, g: GridFunction) -> GridFunction:
-    _same(f.domain, g.domain, "grid functions live over different grids")
+def _pointwise(
+    op: Callable[..., complex], f: GridFunction, *gs: GridFunction
+) -> GridFunction:
+    """op applied point by point to the preimages of f and gs, which must
+    live over f's grid; one guard over the result."""
+    for g in gs:
+        _same(f.domain, g.domain, "grid functions live over different grids")
     return GridFunction.of_preimages(
-        f.domain, tuple(u + v for u, v in zip(f.preimages, g.preimages))
+        f.domain, tuple(map(op, f.preimages, *(g.preimages for g in gs)))
     )
+
+
+def fn_add(f: GridFunction, g: GridFunction) -> GridFunction:
+    return _pointwise(operator.add, f, g)
 
 
 def fn_scalar_mul(lam: StarComplex, f: GridFunction) -> GridFunction:
     _same_pair(lam.pair, f.domain.pair)
-    c = lam.value
-    return GridFunction.of_preimages(f.domain, tuple(c * v for v in f.preimages))
+    return _pointwise(lam.value.__mul__, f)
 
 
 def fn_mul(f: GridFunction, g: GridFunction) -> GridFunction:
-    _same(f.domain, g.domain, "grid functions live over different grids")
-    return GridFunction.of_preimages(
-        f.domain, tuple(u * v for u, v in zip(f.preimages, g.preimages))
-    )
+    return _pointwise(operator.mul, f, g)
 
 
 def fn_involution(f: GridFunction) -> GridFunction:
     """Pointwise conjugation."""
-    return GridFunction.of_preimages(
-        f.domain, tuple(v.conjugate() for v in f.preimages)
-    )
+    return _pointwise(complex.conjugate, f)
 
 
 def sup_norm(f: GridFunction) -> StarReal:
@@ -419,7 +422,7 @@ class StarPolynomial:
         if not coefficients:
             raise ValueError("a polynomial needs at least one coefficient")
         for c in coefficients:
-            _same(c.pair, pair, "coefficient over a different pair")
+            _same_pair(c.pair, pair)
         object.__setattr__(self, "pair", pair)
         object.__setattr__(self, "preimages", tuple(c.value for c in coefficients))
 
@@ -456,7 +459,7 @@ def make_polynomial(
 
 
 def poly_add(p: StarPolynomial, q: StarPolynomial) -> StarPolynomial:
-    _same(p.pair, q.pair, "polynomials over different pairs")
+    _same_pair(p.pair, q.pair)
     return StarPolynomial.of_preimages(
         p.pair,
         tuple(u + v for u, v in zip_longest(p.preimages, q.preimages, fillvalue=0j)),
@@ -471,7 +474,7 @@ def poly_scalar_mul(lam: StarComplex, p: StarPolynomial) -> StarPolynomial:
 
 def poly_mul(p: StarPolynomial, q: StarPolynomial) -> StarPolynomial:
     """Coefficient convolution on preimages."""
-    _same(p.pair, q.pair, "polynomials over different pairs")
+    _same_pair(p.pair, q.pair)
     out = [0j] * (len(p.preimages) + len(q.preimages) - 1)
     for i, u in enumerate(p.preimages):
         for j, v in enumerate(q.preimages):
@@ -489,13 +492,13 @@ def _horner(zs: tuple[complex, ...], w: complex) -> complex:
 
 def poly_eval(p: StarPolynomial, z: StarComplex) -> StarComplex:
     """Horner evaluation on preimages; only the value is guarded."""
-    _same(z.pair, p.pair, "point over a different pair")
+    _same_pair(z.pair, p.pair)
     return from_classical(p.pair, _horner(p.preimages, z.value))
 
 
 def poly_to_grid(p: StarPolynomial, dom: GridDomain) -> GridFunction:
     """Restrict a polynomial to a grid."""
-    _same(dom.pair, p.pair, "grid over a different pair")
+    _same_pair(dom.pair, p.pair)
     zs = p.preimages
     return GridFunction.of_preimages(dom, tuple(_horner(zs, w) for w in dom.preimages))
 

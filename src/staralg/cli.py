@@ -31,7 +31,6 @@ from .algebra import (
     grid_algebra,
     ideal_membership,
     make_disk_domain,
-    quotient_norm,
     scalar_algebra,
     sup_norm,
 )
@@ -45,7 +44,8 @@ from .errors import (
 from .expr import Lit, parse_expr
 from .generators import builtin_names, pair_of
 from .inversion import neumann_inverse
-from .report import emit_report
+from .morphisms import quotient_map
+from .report import SCHEMA_VERSION, emit_report
 from .star_complex import (
     StarComplex,
     approx_eq,
@@ -182,6 +182,18 @@ def _fmt_pair(z: StarComplex) -> str:
     return f"({pa!r}, {pb!r})"
 
 
+def _doc(args: argparse.Namespace, pair, **fields: Any) -> dict[str, Any]:
+    """The head every JSON document starts with, then the command's fields."""
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "command": args.command,
+        "expr": args.expr,
+        "alpha": pair.alpha.name,
+        "beta": pair.beta.name,
+        **fields,
+    }
+
+
 def _print_doc(doc: dict[str, Any], as_json: bool, text_lines: list[str]) -> None:
     if as_json:
         print(json.dumps(doc, indent=2, allow_nan=False))
@@ -197,19 +209,15 @@ def _cmd_eval(args: argparse.Namespace, pair) -> int:
     other = dual_mode_eval(tree, pair, other_mode)
     agree = approx_eq(value, other, rel=args.tol)
     nrm = c_norm(value)
-    doc = {
-        "schema_version": 1,
-        "command": "eval",
-        "expr": args.expr,
-        "alpha": pair.alpha.name,
-        "beta": pair.beta.name,
-        "mode": args.mode,
-        "tol": args.tol,
-        "value": _value_dict(value),
-        "norm_preimage": nrm.preimage,
-        "norm_image": nrm.image,
-        "modes_agree": agree,
-    }
+    doc = _doc(
+        args, pair,
+        mode=args.mode,
+        tol=args.tol,
+        value=_value_dict(value),
+        norm_preimage=nrm.preimage,
+        norm_image=nrm.image,
+        modes_agree=agree,
+    )
     _print_doc(
         doc,
         args.json,
@@ -240,18 +248,14 @@ def _cmd_invert(args: argparse.Namespace, pair) -> int:
     rep = neumann_inverse(A, x, tol=args.tol, max_terms=args.max_terms)
     exact = c_div(one(pair), x)
     matches = _inverse_matches(rep.inverse, exact, args.tol)
-    doc = {
-        "schema_version": 1,
-        "command": "invert",
-        "expr": args.expr,
-        "alpha": pair.alpha.name,
-        "beta": pair.beta.name,
-        "tol": args.tol,
-        "x": _value_dict(x),
-        "inverse": _value_dict(rep.inverse),
+    doc = _doc(
+        args, pair,
+        tol=args.tol,
+        x=_value_dict(x),
+        inverse=_value_dict(rep.inverse),
         **rep.to_json_dict(),
-        "matches_exact": matches,
-    }
+        matches_exact=matches,
+    )
     ok = rep.converged and matches
     _print_doc(
         doc,
@@ -290,20 +294,16 @@ def _cmd_grid(args: argparse.Namespace, pair) -> int:
     dom, f = _grid_values(args, pair)
     sn = sup_norm(f)
     values = f.values
-    doc = {
-        "schema_version": 1,
-        "command": "grid",
-        "expr": args.expr,
-        "alpha": pair.alpha.name,
-        "beta": pair.beta.name,
-        "mode": args.mode,
-        "radial": args.radial,
-        "angular": args.angular,
-        "points": [_value_dict(p) for p in dom.points],
-        "values": [_value_dict(v) for v in values],
-        "sup_norm_preimage": sn.preimage,
-        "sup_norm_image": sn.image,
-    }
+    doc = _doc(
+        args, pair,
+        mode=args.mode,
+        radial=args.radial,
+        angular=args.angular,
+        points=[_value_dict(p) for p in dom.points],
+        values=[_value_dict(v) for v in values],
+        sup_norm_preimage=sn.preimage,
+        sup_norm_image=sn.image,
+    )
     lines = [
         f"grid: {len(dom)} points"
         f" ({args.radial} circles x {args.angular}, plus the origin)",
@@ -322,31 +322,26 @@ def _cmd_quotient(args: argparse.Namespace, pair) -> int:
     dom, f = _grid_values(args, pair)
     at = from_preimages(pair, at_tree.a, at_tree.b)
     ideal = EvaluationIdeal(dom, at)
-    qn = quotient_norm(f, ideal)
+    coset = quotient_map(f, ideal)
     member = ideal_membership(ideal, f, tol=args.tol)
-    rep_value = f.at(ideal.index)
-    doc = {
-        "schema_version": 1,
-        "command": "quotient",
-        "expr": args.expr,
-        "alpha": pair.alpha.name,
-        "beta": pair.beta.name,
-        "mode": args.mode,
-        "radial": args.radial,
-        "angular": args.angular,
-        "at": {"a_preimage": at_tree.a, "b_preimage": at_tree.b},
-        "representative_value": _value_dict(rep_value),
-        "quotient_norm_preimage": qn.preimage,
-        "quotient_norm_image": qn.image,
-        "in_ideal": member,
-    }
+    doc = _doc(
+        args, pair,
+        mode=args.mode,
+        radial=args.radial,
+        angular=args.angular,
+        at={"a_preimage": at_tree.a, "b_preimage": at_tree.b},
+        representative_value=_value_dict(coset.value),
+        quotient_norm_preimage=coset.norm.preimage,
+        quotient_norm_image=coset.norm.image,
+        in_ideal=member,
+    )
     _print_doc(
         doc,
         args.json,
         [
             f"base point (preimages): ({at_tree.a!r}, {at_tree.b!r})",
-            f"coset representative:   constant {_fmt_pair(rep_value)}",
-            f"quotient norm (preimage): {qn.preimage!r}",
+            f"coset representative:   constant {_fmt_pair(coset.value)}",
+            f"quotient norm (preimage): {coset.norm.preimage!r}",
             f"in the ideal: {'yes' if member else 'no'}",
         ],
     )

@@ -21,11 +21,15 @@ class GeneratorOverflowError(StarError):
     """A preimage or image is not representable in binary64."""
 
 
-class GeneratorMismatchError(StarError):
+class DomainMismatchError(StarError):
+    """Values over different generators, pairs or grids were combined."""
+
+
+class GeneratorMismatchError(DomainMismatchError):
     """Two one-line values built over different generators were combined."""
 
 
-class PairMismatchError(StarError):
+class PairMismatchError(DomainMismatchError):
     """Two two-coordinate values built over different generator pairs were combined."""
 
 
@@ -35,10 +39,6 @@ class StarDivisionError(StarError):
 
 class NegativeSqrtError(StarError):
     """Square root of a value below the additive zero (beyond rounding debris)."""
-
-
-class DomainMismatchError(StarError):
-    """Grid functions (or an ideal and a function) live over different grids."""
 
 
 class MissingUnitError(StarError):

@@ -420,6 +420,16 @@ def _classical_div(left: complex, right: complex) -> complex:
     return left / right
 
 
+def _classical_norm(v: complex) -> complex:
+    """The modulus on the real axis. abs() raises once the modulus passes
+    the largest float; that is math.hypot's inf, which the final guard
+    refuses."""
+    try:
+        return complex(abs(v), 0.0)
+    except OverflowError:
+        return complex(math.inf, 0.0)
+
+
 _CLASSICAL_OPS = {
     "add": operator.add,
     "sub": operator.sub,
@@ -427,7 +437,7 @@ _CLASSICAL_OPS = {
     "div": _classical_div,
     "neg": operator.neg,
     "conj": complex.conjugate,
-    "norm": lambda v: complex(abs(v), 0.0),
+    "norm": _classical_norm,
 }
 
 

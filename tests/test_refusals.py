@@ -1,0 +1,229 @@
+"""Refusals and parser errors that no other in-process test reaches.
+
+Each case pins the error type (and, through the CLI, the exact stderr
+line and exit code) of one guard in the package, so that a refactor
+that moves the guard cannot drop it silently.
+"""
+
+import contextlib
+import io
+import math
+from dataclasses import replace
+
+import pytest
+
+from staralg import (
+    GridDomain,
+    HomomorphismHandle,
+    MissingInvolutionError,
+    MissingUnitError,
+    StarPolynomial,
+    arith,
+    broken_involution,
+    broken_zero,
+    classify_element,
+    eval_classical,
+    evaluation_functional,
+    from_preimage,
+    from_preimages,
+    grid_algebra,
+    hermitian_parts,
+    kernel_image_closure_check,
+    less_equal,
+    make_disk_domain,
+    neumann_inverse,
+    one,
+    pair_of,
+    parse_expr,
+    perturbative_inverse,
+    polynomial_algebra,
+    polynomial_subset,
+    random_sample,
+    scalar_algebra,
+    series_sum,
+    unital_functional_check,
+)
+from staralg.axiom_harness import _render
+from staralg.cli import main
+from staralg.morphisms import _default_kernel_sampler
+
+IE = pair_of("identity", "exp")
+
+
+def run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _no_unit(A):
+    return replace(A, unit=None)
+
+
+# --- parser errors through the CLI -----------------------------------------
+
+
+@pytest.mark.parametrize(
+    "expr, line",
+    [
+        ("(1.2.3,0)", "error: syntax error at offset 1: bad number '1.2.3'"),
+        ("(1,0)$", "error: syntax error at offset 5: unexpected character '$'"),
+        ("(1,)", "error: syntax error at offset 3: expected a number"),
+        (
+            "(1e999,0)",
+            "error: syntax error at offset 1: literal component '1e999' overflows",
+        ),
+    ],
+)
+def test_parser_errors_exit_2_with_one_line(expr, line):
+    code, out, err = run(["eval", expr])
+    assert code == 2
+    assert out == ""
+    assert err == line + "\n"
+
+
+def test_whitespace_around_tokens_is_skipped():
+    code, out, err = run(["eval", " ( 1 , 2 ) * i "])
+    assert code == 0
+    assert err == ""
+    assert out.startswith("value (preimages): (-2.0, 1.0)\n")
+
+
+# --- a modulus past the largest float on the pullback route ----------------------
+
+HUGE_NORM = "norm((1.5e308,1.5e308))"
+
+
+def test_classical_norm_past_the_largest_float_is_inf():
+    assert eval_classical(parse_expr(HUGE_NORM)) == complex(math.inf, 0.0)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--mode", "pullback", HUGE_NORM],
+        ["grid", "--mode", "pullback", HUGE_NORM + "+z"],
+    ],
+)
+def test_pullback_norm_overflow_is_one_error_line(argv):
+    code, out, err = run(argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: identity: preimage inf outside the working domain")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+# --- empty carriers and undersized probes ------------------------------------
+
+
+def test_empty_grid_and_polynomial_are_refused():
+    with pytest.raises(ValueError, match="at least one point"):
+        GridDomain(IE, ())
+    with pytest.raises(ValueError, match="at least one coefficient"):
+        StarPolynomial(IE, ())
+    with pytest.raises(ValueError, match="at least one coefficient"):
+        random_sample("polynomial", IE, degree=-1)
+
+
+def test_polynomial_subset_needs_more_points_than_the_fit():
+    dom = make_disk_domain(IE, 1, 4)
+    assert len(dom) == 5
+    with pytest.raises(ValueError, match="grid too small"):
+        polynomial_subset(dom)
+
+
+# --- one-line arithmetic and series bounds ------------------------------------
+
+
+def test_unknown_arithmetic_kind_is_refused():
+    y = from_preimage(IE.alpha, 2.0)
+    with pytest.raises(ValueError, match="unknown arithmetic kind 'pow'"):
+        arith("pow", y, y)
+
+
+def test_less_equal_follows_the_line_order():
+    lo, hi = from_preimage(IE.beta, -1.0), from_preimage(IE.beta, 2.0)
+    assert less_equal(lo, hi)
+    assert less_equal(lo, lo)
+    assert not less_equal(hi, lo)
+
+
+def test_zero_max_terms_is_refused():
+    A = scalar_algebra(IE)
+    x = from_preimages(IE, 0.5, 0.0)
+    x_inv = from_preimages(IE, 2.0, 0.0)
+    with pytest.raises(ValueError, match="max_terms must be at least 1"):
+        series_sum([from_preimage(IE.alpha, 1.0)], max_terms=0)
+    with pytest.raises(ValueError, match="max_terms must be at least 1"):
+        neumann_inverse(A, x, max_terms=0)
+    with pytest.raises(ValueError, match="max_terms must be at least 1"):
+        perturbative_inverse(A, x, x, x_inv, max_terms=0)
+
+
+# --- carriers without a unit or an involution ---------------------------------
+
+
+def test_perturbative_inverse_needs_a_unit():
+    A = _no_unit(scalar_algebra(IE))
+    x = one(IE)
+    with pytest.raises(MissingUnitError, match="inversion needs a unit"):
+        perturbative_inverse(A, x, x, x)
+
+
+def test_classification_needs_an_involution_and_a_unit():
+    x = one(IE)
+    with pytest.raises(MissingInvolutionError):
+        classify_element(polynomial_algebra(make_disk_domain(IE, 2, 8)), x)
+    with pytest.raises(MissingUnitError, match="unitary flag needs a unit"):
+        classify_element(_no_unit(scalar_algebra(IE)), x)
+
+
+def test_star_and_hermitian_parts_need_an_involution():
+    P = polynomial_algebra(make_disk_domain(IE, 2, 8))
+    with pytest.raises(MissingInvolutionError, match="decomposition"):
+        hermitian_parts(P, P.unit)
+    with pytest.raises(MissingInvolutionError, match="no involution"):
+        P.star(P.unit)
+
+
+def test_mutants_refuse_carriers_they_cannot_break():
+    with pytest.raises(MissingUnitError, match="borrows the unit"):
+        broken_zero(_no_unit(scalar_algebra(IE)))
+    P = polynomial_algebra(make_disk_domain(IE, 2, 8))
+    with pytest.raises(MissingInvolutionError, match="nothing to break"):
+        broken_involution(P)
+
+
+def test_default_kernel_sampler_refusals():
+    dom = make_disk_domain(IE, 1, 4)
+    h = evaluation_functional(dom, from_preimages(IE, 0.0, 0.0))
+    with pytest.raises(MissingUnitError, match="unital source"):
+        _default_kernel_sampler(replace(h, source=_no_unit(h.source)))
+    ident = HomomorphismHandle(grid_algebra(dom), grid_algebra(dom), lambda f: f)
+    with pytest.raises(ValueError, match="non-scalar target"):
+        _default_kernel_sampler(ident)
+    with pytest.raises(ValueError, match="non-scalar target"):
+        kernel_image_closure_check(ident, trials=1)
+
+
+def test_unital_functional_check_refusals():
+    dom = make_disk_domain(IE, 1, 4)
+    h = evaluation_functional(dom, from_preimages(IE, 0.0, 0.0))
+    with pytest.raises(MissingUnitError, match="unital source"):
+        unital_functional_check(replace(h, source=_no_unit(h.source)), trials=1)
+    ident = HomomorphismHandle(grid_algebra(dom), grid_algebra(dom), lambda f: f)
+    with pytest.raises(ValueError, match="scalar-valued functional"):
+        unital_functional_check(ident, trials=1)
+
+
+# --- counterexample rendering ----------------------------------------------------
+
+
+def test_render_of_a_list_of_scalars():
+    zs = [from_preimages(IE, 1.0, -2.0), from_preimages(IE, 0.5, 0.25)]
+    want = [[1.0, -2.0], [0.5, 0.25]]
+    # on the field a scalar is an element; on the grid it is a bare point
+    assert _render(scalar_algebra(IE), zs) == want
+    assert _render(grid_algebra(make_disk_domain(IE, 1, 4)), zs) == want
