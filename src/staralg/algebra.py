@@ -14,15 +14,15 @@ import math
 import operator
 import random
 from dataclasses import dataclass, field
-from itertools import zip_longest
-from typing import Any, Callable
+from itertools import starmap, zip_longest
+from typing import Any, Callable, Iterable
 
 from .errors import (
     DomainMismatchError,
     MissingInvolutionError,
     MissingUnitError,
 )
-from .generators import GeneratorPair, guard_points
+from .generators import GeneratorPair, guard, guard_points
 from .star_complex import (
     StarComplex,
     _same_pair,
@@ -31,6 +31,7 @@ from .star_complex import (
     c_div,
     c_mul,
     c_norm,
+    c_sub,
     from_classical,
     from_preimages,
     one,
@@ -48,6 +49,7 @@ __all__ = [
     "grid_constant",
     "coordinate_function",
     "fn_add",
+    "fn_sub",
     "fn_scalar_mul",
     "fn_mul",
     "fn_involution",
@@ -56,6 +58,7 @@ __all__ = [
     "StarPolynomial",
     "make_polynomial",
     "poly_add",
+    "poly_sub",
     "poly_scalar_mul",
     "poly_mul",
     "poly_eval",
@@ -82,11 +85,19 @@ class Algebra:
     ``sample`` draws a generic element from the carrier's own measure;
     ``describe`` renders an element as JSON-friendly preimages for
     counterexamples.
+
+    ``sub`` is the carrier's native difference; like ``add(x, neg(y))``
+    it refuses a ``y`` over another pair than the carrier's.
+    ``fused_distance`` pairs a norm with a distance fused from it and
+    ``sub``; ``distance`` takes it only while ``norm`` is that norm, by
+    identity, so a record made by ``replace(A, norm=...)`` measures
+    through its own norm.
     """
 
     name: str
     pair: GeneratorPair
     add: Callable[[Any, Any], Any]
+    sub: Callable[[Any, Any], Any]
     scalar_mul: Callable[[StarComplex, Any], Any]
     mul: Callable[[Any, Any], Any]
     norm: Callable[[Any], StarReal]
@@ -95,12 +106,10 @@ class Algebra:
     involution: Callable[[Any], Any] | None
     sample: Callable[[random.Random], Any]
     describe: Callable[[Any], Any]
+    fused_distance: tuple[Callable, Callable[[Any, Any], float]] | None = None
 
     def neg(self, x: Any) -> Any:
         return self.scalar_mul(from_preimages(self.pair, -1.0, 0.0), x)
-
-    def sub(self, x: Any, y: Any) -> Any:
-        return self.add(x, self.neg(y))
 
     def star(self, x: Any) -> Any:
         if self.involution is None:
@@ -109,6 +118,10 @@ class Algebra:
 
     def distance(self, x: Any, y: Any) -> float:
         """Norm of the difference, as a preimage-scale float."""
+        if self.fused_distance is not None:
+            norm, fused = self.fused_distance
+            if norm is self.norm:
+                return fused(x, y)
         return self.norm(self.sub(x, y)).preimage
 
     def __repr__(self) -> str:
@@ -142,10 +155,22 @@ def scalar_algebra(pair: GeneratorPair, sample_bound: float = 3.0) -> Algebra:
     def sample(rng: random.Random) -> StarComplex:
         return random_point(rng, pair, sample_bound)
 
+    def sub(z: StarComplex, w: StarComplex) -> StarComplex:
+        _same_pair(pair, w.pair)
+        return c_sub(z, w)
+
+    def distance(z: StarComplex, w: StarComplex) -> float:
+        """c_norm(sub(z, w)).preimage with only the norm guarded."""
+        _same_pair(pair, w.pair)
+        _same_pair(z.pair, w.pair)
+        d = z.value - w.value
+        return guard(pair.beta, math.hypot(d.real, d.imag))
+
     return Algebra(
         name="scalar",
         pair=pair,
         add=c_add,
+        sub=sub,
         scalar_mul=c_mul,
         mul=c_mul,
         norm=c_norm,
@@ -154,6 +179,7 @@ def scalar_algebra(pair: GeneratorPair, sample_bound: float = 3.0) -> Algebra:
         involution=c_conj,
         sample=sample,
         describe=lambda v: list(v.preimages),
+        fused_distance=(c_norm, distance),
     )
 
 
@@ -359,6 +385,10 @@ def fn_add(f: GridFunction, g: GridFunction) -> GridFunction:
     return _pointwise(operator.add, f, g)
 
 
+def fn_sub(f: GridFunction, g: GridFunction) -> GridFunction:
+    return _pointwise(operator.sub, f, g)
+
+
 def fn_scalar_mul(lam: StarComplex, f: GridFunction) -> GridFunction:
     _same_pair(lam.pair, f.domain.pair)
     return _pointwise(lam.value.__mul__, f)
@@ -373,13 +403,16 @@ def fn_involution(f: GridFunction) -> GridFunction:
     return _pointwise(complex.conjugate, f)
 
 
+def _max_modulus(zs: Iterable[complex]) -> float:
+    return max(math.hypot(w.real, w.imag) for w in zs)
+
+
 def sup_norm(f: GridFunction) -> StarReal:
     """Largest pointwise modulus, as a beta-line value.
 
     The max runs on preimage moduli and only the result is guarded.
     """
-    m = max(math.hypot(w.real, w.imag) for w in f.preimages)
-    return from_preimage(f.domain.pair.beta, m)
+    return from_preimage(f.domain.pair.beta, _max_modulus(f.preimages))
 
 
 def grid_algebra(dom: GridDomain, sample_bound: float = 3.0) -> Algebra:
@@ -389,10 +422,23 @@ def grid_algebra(dom: GridDomain, sample_bound: float = 3.0) -> Algebra:
     def sample(rng: random.Random) -> GridFunction:
         return GridFunction.of_preimages(dom, _draw(rng, len(dom), sample_bound))
 
+    def sub(f: GridFunction, g: GridFunction) -> GridFunction:
+        _same_pair(pair, g.domain.pair)
+        return fn_sub(f, g)
+
+    def distance(f: GridFunction, g: GridFunction) -> float:
+        """sup_norm(sub(f, g)).preimage with only the norm guarded."""
+        _same_pair(pair, g.domain.pair)
+        _same(f.domain, g.domain, "grid functions live over different grids")
+        return guard(
+            pair.beta, _max_modulus(map(operator.sub, f.preimages, g.preimages))
+        )
+
     return Algebra(
         name="grid",
         pair=pair,
         add=fn_add,
+        sub=sub,
         scalar_mul=fn_scalar_mul,
         mul=fn_mul,
         norm=sup_norm,
@@ -401,6 +447,7 @@ def grid_algebra(dom: GridDomain, sample_bound: float = 3.0) -> Algebra:
         involution=fn_involution,
         sample=sample,
         describe=_describe,
+        fused_distance=(sup_norm, distance),
     )
 
 
@@ -458,12 +505,22 @@ def make_polynomial(
     return StarPolynomial(pair, tuple(coeffs))
 
 
-def poly_add(p: StarPolynomial, q: StarPolynomial) -> StarPolynomial:
+def _coefficientwise(
+    op: Callable[[complex, complex], complex], p: StarPolynomial, q: StarPolynomial
+) -> StarPolynomial:
+    """op on the aligned coefficient preimages, the shorter padded with 0j."""
     _same_pair(p.pair, q.pair)
     return StarPolynomial.of_preimages(
-        p.pair,
-        tuple(u + v for u, v in zip_longest(p.preimages, q.preimages, fillvalue=0j)),
+        p.pair, tuple(starmap(op, zip_longest(p.preimages, q.preimages, fillvalue=0j)))
     )
+
+
+def poly_add(p: StarPolynomial, q: StarPolynomial) -> StarPolynomial:
+    return _coefficientwise(operator.add, p, q)
+
+
+def poly_sub(p: StarPolynomial, q: StarPolynomial) -> StarPolynomial:
+    return _coefficientwise(operator.sub, p, q)
 
 
 def poly_scalar_mul(lam: StarComplex, p: StarPolynomial) -> StarPolynomial:
@@ -519,10 +576,15 @@ def polynomial_algebra(
         deg = rng.randint(0, max_sample_degree)
         return StarPolynomial.of_preimages(pair, _draw(rng, deg + 1, sample_bound))
 
+    def sub(p: StarPolynomial, q: StarPolynomial) -> StarPolynomial:
+        _same_pair(pair, q.pair)
+        return poly_sub(p, q)
+
     return Algebra(
         name="polynomial",
         pair=pair,
         add=poly_add,
+        sub=sub,
         scalar_mul=poly_scalar_mul,
         mul=poly_mul,
         norm=lambda p: sup_norm(poly_to_grid(p, dom)),

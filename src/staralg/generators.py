@@ -52,10 +52,14 @@ class Generator:
     """A strictly increasing bijection with an explicit inverse.
 
     ``lo``/``hi`` bound the image as an open interval. ``[t_min, t_max]``
-    is the closed interval of preimages whose images are representable:
+    is the closed interval of preimages whose images do not overflow:
     construction checks that ``forward`` maps both ends into the image
-    interval, and because ``forward`` is increasing, every preimage in
-    between then has a legal image too. ``guard`` checks against it.
+    interval, and ``guard`` checks against it. That does not make every
+    preimage in between legal, since images may underflow: under
+    ``cube`` a preimage with 0 < |t| below about 1.7e-108 has an image
+    of 0.0 or the smallest subnormal, so ``staralg eval --alpha cube
+    "(1e-110,0)"`` shows the image 0.0. Refusing such preimages is open
+    (ROADMAP item 3).
 
     Compared by identity: the built-ins are singletons, and two values
     interoperate exactly when they share the same generator object.

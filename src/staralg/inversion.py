@@ -50,9 +50,10 @@ class InversionReport:
         }
 
 
-def _residuals(A: Algebra, x: Any, candidate: Any) -> tuple[StarReal, StarReal]:
-    right = A.norm(A.sub(A.mul(x, candidate), A.unit))
-    left = A.norm(A.sub(A.mul(candidate, x), A.unit))
+def _residuals(A: Algebra, x: Any, candidate: Any) -> tuple[float, float]:
+    """Distances of x times candidate, both ways, from the unit."""
+    right = A.distance(A.mul(x, candidate), A.unit)
+    left = A.distance(A.mul(candidate, x), A.unit)
     return right, left
 
 
@@ -63,15 +64,18 @@ def _geometric_series(
     partial sum times ``right`` (the partial sum itself when ``right`` is
     None), against x. Stops once both residuals are within ``tol`` or
     ``max_terms`` partial sums have been taken."""
+    beta = A.pair.beta
     total = term = A.unit
     used = 1
     while True:
         candidate = total if right is None else A.mul(total, right)
         r, l = _residuals(A, x, candidate)
-        if max(r.preimage, l.preimage) <= tol:
-            return InversionReport(candidate, True, used, r, l)
-        if used >= max_terms:
-            return InversionReport(candidate, False, used, r, l)
+        converged = max(r, l) <= tol
+        if converged or used >= max_terms:
+            return InversionReport(
+                candidate, converged, used,
+                from_preimage(beta, r), from_preimage(beta, l),
+            )
         term = A.mul(term, ratio)
         total = A.add(total, term)
         used += 1
@@ -119,13 +123,11 @@ def perturbative_inverse(
         raise MissingUnitError(f"{A.name}: inversion needs a unit")
     if max_terms < 1:
         raise ValueError("max_terms must be at least 1")
-    r0, l0 = _residuals(A, x0, x0_inv)
-    if max(r0.preimage, l0.preimage) > tol:
-        raise BadInverseError(
-            f"supplied inverse misses by {max(r0.preimage, l0.preimage)!r}"
-        )
+    miss = max(_residuals(A, x0, x0_inv))
+    if miss > tol:
+        raise BadInverseError(f"supplied inverse misses by {miss!r}")
     m = A.norm(x0_inv).preimage
-    d = A.norm(A.sub(x, x0)).preimage
+    d = A.distance(x, x0)
     if m * d >= 1.0:
         raise NotApplicableError(
             f"norm(x - x0) = {d!r} is not below 1/norm(x0_inv) = {1.0 / m!r}"
@@ -166,14 +168,14 @@ def continuity_bound_check(
     NotApplicableError is raised.
     """
     m = A.norm(x0_inv).preimage
-    d = A.norm(A.sub(x, x0)).preimage
+    d = A.distance(x, x0)
     c = m * d
     if c > 0.5 + 1e-12:
         raise NotApplicableError(
             f"contraction {c!r} exceeds 1/2; the bound does not apply"
         )
     rep = perturbative_inverse(A, x, x0, x0_inv, tol=tol, max_terms=max_terms)
-    lhs = A.norm(A.sub(rep.inverse, x0_inv))
+    lhs = from_preimage(A.pair.beta, A.distance(rep.inverse, x0_inv))
     rhs = from_preimage(A.pair.beta, 2.0 * m * m * d)
     met = lhs.preimage <= rhs.preimage + 1e-12
     return ContinuityBound(lhs, rhs, met, c)
