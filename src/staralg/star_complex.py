@@ -13,11 +13,12 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import NamedTuple
+from functools import lru_cache
+from typing import Callable, NamedTuple
 
 from .errors import PairMismatchError, StarDivisionError, UnboundVariableError
 from .expr import Lit, Node, eval_classical, fold
-from .generators import GeneratorPair, guard
+from .generators import GeneratorPair, guard, point_guard
 from .star_real import StarReal, from_preimage, preimage_close
 
 __all__ = [
@@ -185,16 +186,39 @@ def approx_eq(
 # dual-route expression evaluation
 
 
-_DIRECT_OPS = {
-    "add": c_add,
-    "sub": c_sub,
-    "mul": c_mul,
-    "div": c_div,
-    "conj": c_conj,
-    "neg": lambda v: c_sub(zero(v.pair), v),
-    # a norm used as a subexpression sits on the real axis
-    "norm": lambda v: from_preimages(v.pair, c_norm(v).preimage, 0.0),
-}
+@lru_cache(maxsize=16)
+def _direct_ops(
+    pair: GeneratorPair,
+) -> tuple[Callable[[complex], complex], dict[str, Callable]]:
+    """The direct route over one pair: its guard on one preimage, and its
+    op table, the field operations on raw preimages with each result
+    passing the guard where it is made, as ``c_*`` guard theirs."""
+    check = point_guard(pair)
+    beta = pair.beta
+
+    def div(v: complex, w: complex) -> complex:
+        try:
+            q = v / w
+        except ZeroDivisionError:
+            raise StarDivisionError("division by the field's additive zero") from None
+        return check(q)
+
+    def norm(v: complex) -> complex:
+        # beta's guard on the modulus, as c_norm; a norm used as a
+        # subexpression then sits on the real axis
+        return check(complex(guard(beta, math.hypot(v.real, v.imag)), 0.0))
+
+    return check, {
+        "add": lambda v, w: check(v + w),
+        "sub": lambda v, w: check(v - w),
+        "mul": lambda v, w: check(v * w),
+        "div": div,
+        "conj": lambda v: check(v.conjugate()),
+        # the guarded zero minus v, so that signed zeros come out as
+        # they do from c_sub
+        "neg": lambda v: check(check(0j) - v),
+        "norm": norm,
+    }
 
 
 def dual_mode_eval(
@@ -205,25 +229,30 @@ def dual_mode_eval(
 ) -> StarComplex:
     """Evaluate a tree over the pair by one of two routes.
 
-    "direct" folds the field operations node by node, so every step
-    passes the pair's guard. "pullback" evaluates the whole tree
-    classically on preimages and guards only the result.
+    "direct" is complex arithmetic on preimages with the pair's guard
+    after every step: it folds the field operations node by node on raw
+    preimages and builds one point at the end. "pullback" evaluates the
+    whole tree classically on preimages and guards only the result.
     The two must agree to about 1e-9 on preimages; keeping both routes
-    alive is the point, so they are never collapsed into one.
+    alive is the point, so they are never collapsed into one. A bound
+    point over another pair raises PairMismatchError on either route,
+    whether or not the tree mentions z.
     """
+    if mode not in ("direct", "pullback"):
+        raise ValueError(f"unknown evaluation mode {mode!r}")
+    if z is not None and z.pair is not pair and z.pair != pair:
+        raise PairMismatchError("bound point lives over a different pair")
     if mode == "pullback":
         zc = z.as_complex if z is not None else None
         return from_classical(pair, eval_classical(tree, zc))
-    if mode != "direct":
-        raise ValueError(f"unknown evaluation mode {mode!r}")
+    check, ops = _direct_ops(pair)
 
-    def leaf(n: Node) -> StarComplex:
+    def leaf(n: Node) -> complex:
         if isinstance(n, Lit):
-            return from_preimages(pair, n.a, n.b)
+            return check(complex(n.a, n.b))
         if z is None:
             raise UnboundVariableError("z is not bound in this context")
-        if z.pair is not pair and z.pair != pair:
-            raise PairMismatchError("bound point lives over a different pair")
-        return z
+        # the bound point is taken as given; what is made from it is guarded
+        return z.value
 
-    return fold(tree, leaf, _DIRECT_OPS)
+    return StarComplex(pair, fold(tree, leaf, ops))

@@ -210,6 +210,13 @@ def test_fold_matches_the_recursive_walkers(names, allow_z, seed, zx, zy, z_pair
 
     assert to_text(tree) == ref_to_text(tree)
     assert outcome(eval_classical, tree, zc) == outcome(ref_pullback_walk, tree, zc)
+    if z_pair == "other":
+        # a point over another pair is refused before either route
+        # evaluates, whether or not the tree mentions z
+        refused = ("error", PairMismatchError, "bound point lives over a different pair", None)
+        for mode in ("direct", "pullback"):
+            assert outcome(dual_mode_eval, tree, pair, mode, z) == refused
+        return
     assert outcome(dual_mode_eval, tree, pair, "direct", z) == outcome(
         ref_eval_direct, tree, pair, z
     )

@@ -86,6 +86,20 @@ def test_a_bound_point_over_another_pair_keeps_its_message():
         dual_mode_eval(tree, IE, "direct", z=from_preimages(EE, 0.0, 0.0))
 
 
+@pytest.mark.parametrize("mode", ["direct", "pullback"])
+@pytest.mark.parametrize("text", ["z+(1,0)", "(1,0)+(0,1)", "(1,0)/(0,0)+z"])
+def test_both_routes_refuse_a_bound_point_over_another_pair(mode, text):
+    # refused before evaluation, whether or not the tree mentions z, and
+    # ahead of any refusal the tree itself would meet
+    z = from_preimages(pair_of("identity", "identity"), 0.1, 0.2)
+    with pytest.raises(PairMismatchError, match="bound point lives over a different pair") as exc:
+        dual_mode_eval(parse_expr(text), EE, mode, z=z)
+    assert exc.value.subterm is None
+    # a point over an equal pair is the pair's own
+    same = from_preimages(pair_of("exp", "exp"), 0.1, 0.2)
+    assert dual_mode_eval(parse_expr("z+(1,0)"), EE, mode, z=same).as_complex == 1.1 + 0.2j
+
+
 @pytest.mark.parametrize("op", [fn_add, fn_mul])
 def test_functions_over_two_grids_raise_domain_mismatch_only(op):
     f = coordinate_function(make_disk_domain(IE, 1, 4))
