@@ -67,11 +67,8 @@ class Var:
 
 
 def _key(node: Node) -> tuple:
-    # a post-order with each op tagged by its node type fixes the tree
-    return tuple(
-        (type(n), n.op) if isinstance(n, (Unary, Binary)) else n
-        for n in _post_order(node)
-    )
+    # a post-order with each op tagged by its arity fixes the tree
+    return tuple((arity, n.op) if arity else n for arity, n in _post_order(node))
 
 
 def _node_eq(self: Node, other: Any) -> Any:
@@ -322,23 +319,27 @@ def parse_expr(src: str) -> Node:
 # ---------------------------------------------------------------------------
 # the one tree walk, and the printer as one reading of it
 
-_last: tuple[Node | None, list[Node]] = (None, [])
+_last: tuple[Node | None, list[tuple[int, Node]]] = (None, [])
 
 
-def _post_order(node: Node) -> list[Node]:
-    """The nodes of a tree in post-order, found on an explicit stack. The
-    last tree's is kept, since per-point callers fold one tree many
-    times; trees are frozen, so ``is`` is an exact test."""
+def _post_order(node: Node) -> list[tuple[int, Node]]:
+    """The nodes of a tree in post-order, each as (arity, node), with
+    arity 0 for a leaf; found on an explicit stack. The last tree's is
+    kept, since per-point callers fold one tree many times; trees are
+    frozen, so ``is`` is an exact test."""
     global _last
     if _last[0] is not node:
         order, todo = [], [node]
         while todo:  # node, right subtree, left subtree: post-order reversed
             n = todo.pop()
-            order.append(n)
             if isinstance(n, Binary):
+                order.append((2, n))
                 todo += (n.left, n.right)
             elif isinstance(n, Unary):
+                order.append((1, n))
                 todo.append(n.child)
+            else:
+                order.append((0, n))
         order.reverse()
         _last = (node, order)
     return _last[1]
@@ -351,14 +352,14 @@ def fold(node: Node, leaf: Callable[[Node], Any], ops: dict[str, Callable]) -> A
     raised, the first failing node in post-order."""
     vals: list[Any] = []
     try:
-        for n in _post_order(node):
-            if isinstance(n, Binary):
+        for arity, n in _post_order(node):
+            if not arity:
+                vals.append(leaf(n))
+            elif arity == 2:
                 right = vals.pop()
                 vals[-1] = ops[n.op](vals[-1], right)
-            elif isinstance(n, Unary):
-                vals[-1] = ops[n.op](vals[-1])
             else:
-                vals.append(leaf(n))
+                vals[-1] = ops[n.op](vals[-1])
     except StarError as e:
         if e.subterm is None:
             e.subterm = to_text(n)

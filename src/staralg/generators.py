@@ -6,8 +6,8 @@ transported arithmetic: classical arithmetic on preimages, read through
 the generator. Everything in this package is parameterized by a pair of
 generators, ``alpha`` for the first coordinate and ``beta`` for the
 second. Values are stored as preimages; ``guard`` checks a preimage
-against its generator's interval ``[t_min, t_max]``, ``point_guard``
-gives a pair's guard on one complex preimage as a function, and
+against its generator's interval ``[t_min, t_max]``, a pair's ``check``
+checks one complex preimage against both of its generators, and
 ``guard_points`` checks a whole vector of complex preimages against a
 pair. They are the only range checks on preimages in the package.
 
@@ -44,7 +44,6 @@ __all__ = [
     "apply_forward",
     "apply_inverse",
     "guard",
-    "point_guard",
     "guard_points",
 ]
 
@@ -129,10 +128,33 @@ def builtin_generator(name: str) -> Generator:
 
 @dataclass(frozen=True)
 class GeneratorPair:
-    """The (alpha, beta) pair the two-coordinate field is built over."""
+    """The (alpha, beta) pair the two-coordinate field is built over.
+
+    ``check(w)`` is the pair's guard on one complex preimage: w itself
+    when its real part passes alpha's ``guard`` and its imaginary part
+    beta's, else the GeneratorOverflowError of ``guard``, alpha's before
+    beta's. A pass costs one chained comparison, which refuses NaN as
+    ``guard`` does. ``radius`` is the largest m with [-m, m] inside both
+    preimage intervals (negative when one of them excludes 0). Both are
+    set at construction and are not fields, so ``==``, ``hash`` and
+    ``dataclasses.replace`` see only alpha and beta."""
 
     alpha: Generator
     beta: Generator
+
+    def __post_init__(self):
+        alpha, beta = self.alpha, self.beta
+        a_lo, a_hi, b_lo, b_hi = alpha.t_min, alpha.t_max, beta.t_min, beta.t_max
+
+        def check(w: complex) -> complex:
+            if a_lo <= w.real <= a_hi and b_lo <= w.imag <= b_hi:
+                return w
+            guard(alpha, w.real)
+            guard(beta, w.imag)  # one of the two has raised
+            return w
+
+        object.__setattr__(self, "check", check)
+        object.__setattr__(self, "radius", min(-a_lo, a_hi, -b_lo, b_hi))
 
     @property
     def names(self) -> tuple[str, str]:
@@ -158,49 +180,27 @@ def guard(g: Generator, t: float) -> float:
     )
 
 
-def point_guard(pair: GeneratorPair) -> Callable[[complex], complex]:
-    """The pair's guard on one complex preimage w: w itself when its real
-    part passes alpha's guard and its imaginary part beta's, else the
-    GeneratorOverflowError of ``guard``, alpha's before beta's. A pass
-    costs one chained comparison, which refuses NaN as ``guard`` does."""
-    alpha, beta = pair.alpha, pair.beta
-    a_lo, a_hi, b_lo, b_hi = alpha.t_min, alpha.t_max, beta.t_min, beta.t_max
-
-    def check(w: complex) -> complex:
-        if a_lo <= w.real <= a_hi and b_lo <= w.imag <= b_hi:
-            return w
-        guard(alpha, w.real)
-        guard(beta, w.imag)  # one of the two has raised
-        return w
-
-    return check
-
-
 def guard_points(
     pair: GeneratorPair, zs: tuple[complex, ...]
 ) -> tuple[complex, ...]:
-    """zs itself when every point passes ``point_guard``; else its
+    """zs itself when every point passes ``pair.check``; else its
     GeneratorOverflowError for the first point that fails, naming its
     index in zs.
 
     A C-level filter runs first. The sum of zs is NaN whenever some part
     is NaN, and ``abs(w) >= max(|w.real|, |w.imag|)``, so for the largest
     modulus m of a NaN-free zs, [-m, m] holds every part, and zs passes
-    when [-m, m] lies inside both intervals. An overflow in ``abs``, a
-    NaN sum or a large modulus leaves the answer to the exact loop."""
-    a, b = pair.alpha, pair.beta
+    when m <= ``pair.radius``, that is when [-m, m] lies inside both
+    intervals. An overflow in ``abs``, a NaN sum or a large modulus
+    leaves the answer to the exact loop."""
     try:
         m = max(map(abs, zs)) if zs else 0.0
         total = sum(zs, 0j)
-        if (
-            total == total
-            and a.t_min <= -m <= m <= a.t_max
-            and b.t_min <= -m <= m <= b.t_max
-        ):
+        if total == total and m <= pair.radius:
             return zs
     except OverflowError:
         pass
-    check = point_guard(pair)
+    check = pair.check
     for i, w in enumerate(zs):
         try:
             check(w)

@@ -3,9 +3,10 @@
 A point carries an alpha-line first coordinate and a beta-line second
 coordinate. It is stored as one classical complex number of preimages,
 so every field operation is Python complex arithmetic followed by the
-pair's guard on each coordinate of the result. The field behaves
-exactly like the complex numbers seen through the two generators, which
-is what the dual-route evaluator checks on every expression.
+pair's one point guard (``GeneratorPair.check``) on the result. The
+field behaves exactly like the complex numbers seen through the two
+generators, which is what the dual-route evaluator checks on every
+expression.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Callable, NamedTuple
 
 from .errors import PairMismatchError, StarDivisionError, UnboundVariableError
 from .expr import Lit, Node, eval_classical, fold
-from .generators import GeneratorPair, guard, point_guard
+from .generators import GeneratorPair, guard
 from .star_real import StarReal, from_preimage, preimage_close
 
 __all__ = [
@@ -70,20 +71,14 @@ class StarComplex:
         return self.value
 
 
-def _guarded(pair: GeneratorPair, w: complex) -> StarComplex:
-    guard(pair.alpha, w.real)
-    guard(pair.beta, w.imag)
-    return StarComplex(pair, w)
-
-
 def from_preimages(pair: GeneratorPair, x: float, y: float) -> StarComplex:
     """The point whose coordinates have preimages (x, y)."""
-    return _guarded(pair, complex(x, y))
+    return StarComplex(pair, pair.check(complex(x, y)))
 
 
 def from_classical(pair: GeneratorPair, w: complex) -> StarComplex:
     """Image of an ordinary complex number under the pair."""
-    return from_preimages(pair, w.real, w.imag)
+    return StarComplex(pair, pair.check(complex(w.real, w.imag)))
 
 
 def random_point(
@@ -105,22 +100,22 @@ def _same_pair(p: GeneratorPair, q: GeneratorPair) -> None:
 def c_add(z: StarComplex, w: StarComplex) -> StarComplex:
     """Componentwise addition on the two lines."""
     _same_pair(z.pair, w.pair)
-    return _guarded(z.pair, z.value + w.value)
+    return StarComplex(z.pair, z.pair.check(z.value + w.value))
 
 
 def c_sub(z: StarComplex, w: StarComplex) -> StarComplex:
     _same_pair(z.pair, w.pair)
-    return _guarded(z.pair, z.value - w.value)
+    return StarComplex(z.pair, z.pair.check(z.value - w.value))
 
 
 def c_neg(z: StarComplex) -> StarComplex:
-    return _guarded(z.pair, -z.value)
+    return StarComplex(z.pair, z.pair.check(-z.value))
 
 
 def c_mul(z: StarComplex, w: StarComplex) -> StarComplex:
     """Product: the classical complex product on preimages."""
     _same_pair(z.pair, w.pair)
-    return _guarded(z.pair, z.value * w.value)
+    return StarComplex(z.pair, z.pair.check(z.value * w.value))
 
 
 def c_div(z: StarComplex, w: StarComplex) -> StarComplex:
@@ -132,12 +127,12 @@ def c_div(z: StarComplex, w: StarComplex) -> StarComplex:
         q = z.value / w.value
     except ZeroDivisionError:
         raise StarDivisionError("division by the field's additive zero") from None
-    return _guarded(z.pair, q)
+    return StarComplex(z.pair, z.pair.check(q))
 
 
 def c_conj(z: StarComplex) -> StarComplex:
     """Conjugation: negate the second coordinate."""
-    return _guarded(z.pair, z.value.conjugate())
+    return StarComplex(z.pair, z.pair.check(z.value.conjugate()))
 
 
 def c_norm(z: StarComplex) -> StarReal:
@@ -187,13 +182,11 @@ def approx_eq(
 
 
 @lru_cache(maxsize=16)
-def _direct_ops(
-    pair: GeneratorPair,
-) -> tuple[Callable[[complex], complex], dict[str, Callable]]:
-    """The direct route over one pair: its guard on one preimage, and its
-    op table, the field operations on raw preimages with each result
-    passing the guard where it is made, as ``c_*`` guard theirs."""
-    check = point_guard(pair)
+def _direct_ops(pair: GeneratorPair) -> dict[str, Callable]:
+    """The direct route's op table over one pair: the field operations on
+    raw preimages, each result passing the pair's guard where it is made,
+    as ``c_*`` guard theirs."""
+    check = pair.check
     beta = pair.beta
 
     def div(v: complex, w: complex) -> complex:
@@ -208,7 +201,7 @@ def _direct_ops(
         # subexpression then sits on the real axis
         return check(complex(guard(beta, math.hypot(v.real, v.imag)), 0.0))
 
-    return check, {
+    return {
         "add": lambda v, w: check(v + w),
         "sub": lambda v, w: check(v - w),
         "mul": lambda v, w: check(v * w),
@@ -245,7 +238,7 @@ def dual_mode_eval(
     if mode == "pullback":
         zc = z.as_complex if z is not None else None
         return from_classical(pair, eval_classical(tree, zc))
-    check, ops = _direct_ops(pair)
+    ops, check = _direct_ops(pair), pair.check
 
     def leaf(n: Node) -> complex:
         if isinstance(n, Lit):

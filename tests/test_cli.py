@@ -263,6 +263,29 @@ def test_exit_2_on_bad_tolerance(tol):
         assert _one_error_line(err)
 
 
+def test_a_valid_tolerance_reaches_every_command():
+    code, out, err = run(["eval", "(1,2)*(3,4)", "--tol", "1e-3"])
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1].endswith("(direct vs pullback, rel tol 0.001)")
+    code, out, _ = run(["eval", "(1,2)*(3,4)", "--tol", "1e-3", "--json"])
+    assert code == 0 and json.loads(out)["tol"] == 0.001
+    code, out, _ = run(
+        ["axioms", "--suite", "norm", "--trials", "3", "--tol", "1e-3", "--json"]
+    )
+    assert code == 0 and json.loads(out)["reports"][0]["tolerance"] == 0.001
+
+
+def test_a_looser_tolerance_stops_the_series_sooner():
+    _, out, _ = run(["invert", "(0.6,0)", "--json"])
+    default = json.loads(out)
+    code, out, _ = run(["invert", "(0.6,0)", "--tol", "1e-6", "--json"])
+    assert code == 0
+    loose = json.loads(out)
+    assert loose["tol"] == 1e-06
+    assert loose["converged"] is True and loose["matches_exact"] is True
+    assert loose["terms_used"] == 16 < default["terms_used"]
+
+
 def test_exit_2_on_deep_nesting():
     code, out, _ = run(["eval", "(" * 199 + "(1,0)" + ")" * 199])
     assert code == 0

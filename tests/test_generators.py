@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 
@@ -11,11 +12,13 @@ from staralg import (
     Generator,
     GeneratorDomainError,
     GeneratorOverflowError,
+    GeneratorPair,
     apply_forward,
     apply_inverse,
     builtin_generator,
     builtin_names,
     from_preimages,
+    guard,
     pair_of,
 )
 
@@ -72,6 +75,29 @@ def test_pair_of():
     assert pair.names == ("identity", "exp")
     with pytest.raises(ValueError):
         pair_of("identity", "nope")
+
+
+def test_the_pair_guard_is_no_field():
+    pair = GeneratorPair(IDENTITY, EXP)
+    assert pair == pair_of("identity", "exp")
+    assert hash(pair) == hash(pair_of("identity", "exp"))
+    assert repr(pair) == "GeneratorPair(identity, exp)"
+    assert [f.name for f in dataclasses.fields(pair)] == ["alpha", "beta"]
+    assert pair.radius == 700.0
+    assert pair.check(complex(-1e300, 700.0)) == complex(-1e300, 700.0)
+
+
+def test_a_replaced_pair_guards_with_its_own_generators():
+    pair = dataclasses.replace(pair_of("identity", "exp"), beta=CUBE)
+    assert pair.radius == CUBE.t_max
+    # exp refused 800, cube does not
+    assert pair.check(800j) == 800j
+    past = math.nextafter(CUBE.t_max, math.inf)
+    with pytest.raises(GeneratorOverflowError) as want:
+        guard(CUBE, past)
+    with pytest.raises(GeneratorOverflowError) as got:
+        pair.check(complex(0.0, past))
+    assert str(got.value) == str(want.value)
 
 
 @given(st.floats(min_value=-600.0, max_value=600.0))

@@ -151,3 +151,34 @@ def test_a_large_vector_passes_whole_and_fails_at_its_index():
     bad = zs[:4321] + (complex(700.5, 0.0),) + zs[4322:]
     with pytest.raises(GeneratorOverflowError, match=r"^exp: preimage 700.5 .* at point 4321$"):
         guard_points(EE, bad)
+
+
+def one_point(pair, w):
+    """w itself through ``pair.check``, else the error's message."""
+    try:
+        return "same" if pair.check(w) is w else "other"
+    except GeneratorOverflowError as e:
+        return str(e)
+
+
+def one_point_expected(pair, w):
+    try:
+        guard(pair.alpha, w.real)
+        guard(pair.beta, w.imag)
+    except GeneratorOverflowError as e:
+        return str(e)
+    return "same"
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_the_pair_checks_each_point_as_guard_does_alpha_first(name):
+    pair, zs = CASES[name]
+    for w in zs:
+        assert one_point(pair, w) == one_point_expected(pair, w)
+
+
+def test_alpha_is_named_when_both_parts_are_refused():
+    assert one_point(EE, complex(701.0, -701.0)) == (
+        "exp: preimage 701.0 outside the working domain [-700.0, 700.0]"
+    )
+    assert one_point(SKEW, complex(0.0, math.nan)).startswith("skew-b: preimage nan")
