@@ -466,12 +466,12 @@ class StarPolynomial:
     preimages: tuple[complex, ...]
 
     def __init__(self, pair: GeneratorPair, coefficients: tuple[StarComplex, ...]):
-        if not coefficients:
-            raise ValueError("a polynomial needs at least one coefficient")
         for c in coefficients:
             _same_pair(c.pair, pair)
         object.__setattr__(self, "pair", pair)
-        object.__setattr__(self, "preimages", tuple(c.value for c in coefficients))
+        object.__setattr__(
+            self, "preimages", _nonempty(tuple(c.value for c in coefficients))
+        )
 
     @classmethod
     def of_preimages(
@@ -481,7 +481,7 @@ class StarPolynomial:
         over them all."""
         p = object.__new__(cls)
         object.__setattr__(p, "pair", pair)
-        object.__setattr__(p, "preimages", guard_points(pair, zs))
+        object.__setattr__(p, "preimages", guard_points(pair, _nonempty(zs)))
         return p
 
     @property
@@ -491,6 +491,12 @@ class StarPolynomial:
     @property
     def degree(self) -> int:
         return len(self.preimages) - 1
+
+
+def _nonempty(zs: tuple[complex, ...]) -> tuple[complex, ...]:
+    if not zs:
+        raise ValueError("a polynomial needs at least one coefficient")
+    return zs
 
 
 def make_polynomial(

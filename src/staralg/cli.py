@@ -381,12 +381,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as e:
         return int(e.code) if e.code is not None else 0
     try:
-        pair = pair_of(args.alpha, args.beta)
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    try:
-        return _COMMANDS[args.command](args, pair)
+        return _COMMANDS[args.command](args, pair_of(args.alpha, args.beta))
     except ParseError as e:
         print(
             f"error: syntax error at offset {e.offset}: {e}", file=sys.stderr
@@ -396,7 +391,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {e} (z is only bound under grid and quotient)",
               file=sys.stderr)
         return 2
-    except UnsupportedSuiteError as e:
+    except (UnsupportedSuiteError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except StarError as e:
@@ -404,9 +399,6 @@ def main(argv: list[str] | None = None) -> int:
         where = f" in subterm {sub}" if sub else ""
         print(f"error: {e}{where}", file=sys.stderr)
         return 1
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
 
 
 # the same entry point under a call-style name, for embedding

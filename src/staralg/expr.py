@@ -105,6 +105,8 @@ class Binary:
 Node = Union[Lit, Var, Unary, Binary]
 
 _SYM_OPS = {"+": "add", "-": "sub", "*": "mul", "/": "div"}
+# the binary operators by precedence level, loosest first
+_PRECEDENCE = ("+-", "*/")
 
 MAX_NESTING = 200
 
@@ -234,25 +236,19 @@ class _Parser:
             )
         return depth
 
-    def expr(self) -> tuple[Node, int]:
-        node, d = self.term()
+    def expr(self, level: int = 0) -> tuple[Node, int]:
+        """A left-associative chain of the operators of one precedence
+        level, whose operands are the next level's, or factors after the
+        last. Each operand is parsed by a direct call, with no wrapper,
+        so that a nesting level costs as few Python frames as it can."""
+        syms = _PRECEDENCE[level]
+        last = level + 1 == len(_PRECEDENCE)
+        node, d = self.factor() if last else self.expr(level + 1)
         while True:
             t = self.peek()
-            if t.kind == "sym" and t.text in "+-":
+            if t.kind == "sym" and t.text in syms:
                 self.next()
-                right, rd = self.term()
-                node = Binary(_SYM_OPS[t.text], node, right)
-                d = self._level(1 + max(d, rd), t)
-            else:
-                return node, d
-
-    def term(self) -> tuple[Node, int]:
-        node, d = self.factor()
-        while True:
-            t = self.peek()
-            if t.kind == "sym" and t.text in "*/":
-                self.next()
-                right, rd = self.factor()
+                right, rd = self.factor() if last else self.expr(level + 1)
                 node = Binary(_SYM_OPS[t.text], node, right)
                 d = self._level(1 + max(d, rd), t)
             else:

@@ -109,7 +109,8 @@ def c_sub(z: StarComplex, w: StarComplex) -> StarComplex:
 
 
 def c_neg(z: StarComplex) -> StarComplex:
-    return StarComplex(z.pair, z.pair.check(-z.value))
+    """The guarded zero minus z, as the direct route's neg."""
+    return c_sub(zero(z.pair), z)
 
 
 def c_mul(z: StarComplex, w: StarComplex) -> StarComplex:
@@ -118,16 +119,22 @@ def c_mul(z: StarComplex, w: StarComplex) -> StarComplex:
     return StarComplex(z.pair, z.pair.check(z.value * w.value))
 
 
-def c_div(z: StarComplex, w: StarComplex) -> StarComplex:
-    """Quotient; dividing by the additive zero raises StarDivisionError.
-    Python's complex division is scaled (Smith's method), so no
-    intermediate square overflows or underflows at extreme magnitudes."""
-    _same_pair(z.pair, w.pair)
+def _quotient(v: complex, w: complex) -> complex:
+    """v / w on raw preimages, unguarded; dividing by the additive zero
+    raises StarDivisionError. Python's complex division is scaled
+    (Smith's method), so no intermediate square overflows or underflows
+    at extreme magnitudes."""
     try:
-        q = z.value / w.value
+        return v / w
     except ZeroDivisionError:
         raise StarDivisionError("division by the field's additive zero") from None
-    return StarComplex(z.pair, z.pair.check(q))
+
+
+def c_div(z: StarComplex, w: StarComplex) -> StarComplex:
+    """Quotient; dividing by the additive zero raises StarDivisionError
+    (see ``_quotient``)."""
+    _same_pair(z.pair, w.pair)
+    return StarComplex(z.pair, z.pair.check(_quotient(z.value, w.value)))
 
 
 def c_conj(z: StarComplex) -> StarComplex:
@@ -189,13 +196,6 @@ def _direct_ops(pair: GeneratorPair) -> dict[str, Callable]:
     check = pair.check
     beta = pair.beta
 
-    def div(v: complex, w: complex) -> complex:
-        try:
-            q = v / w
-        except ZeroDivisionError:
-            raise StarDivisionError("division by the field's additive zero") from None
-        return check(q)
-
     def norm(v: complex) -> complex:
         # beta's guard on the modulus, as c_norm; a norm used as a
         # subexpression then sits on the real axis
@@ -205,10 +205,10 @@ def _direct_ops(pair: GeneratorPair) -> dict[str, Callable]:
         "add": lambda v, w: check(v + w),
         "sub": lambda v, w: check(v - w),
         "mul": lambda v, w: check(v * w),
-        "div": div,
+        "div": lambda v, w: check(_quotient(v, w)),
         "conj": lambda v: check(v.conjugate()),
-        # the guarded zero minus v, so that signed zeros come out as
-        # they do from c_sub
+        # the guarded zero minus v, as c_neg, so that signed zeros come
+        # out as they do from c_sub
         "neg": lambda v: check(check(0j) - v),
         "norm": norm,
     }

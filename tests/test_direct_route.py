@@ -28,6 +28,7 @@ from staralg import (
     c_conj,
     c_div,
     c_mul,
+    c_neg,
     c_norm,
     c_sub,
     dual_mode_eval,
@@ -196,3 +197,27 @@ def test_the_bound_point_is_taken_as_given():
         got = outcome(dual_mode_eval, tree, pair, "direct", z)
         assert got == outcome(oracle_direct, tree, pair, z)
         assert got[:2] == ("error", GeneratorOverflowError)
+
+
+NEG_POINTS = [
+    (pair_of("identity", "identity"), 1.0, 0.0),
+    (pair_of("identity", "identity"), 0.0, 0.0),
+    (pair_of("identity", "identity"), -0.0, -0.0),
+    (pair_of("identity", "identity"), 1.0, -0.0),
+    (pair_of("cube", "exp"), 2.5, -0.0),
+    (pair_of("exp", "exp"), -700.0, 700.0),
+    (GeneratorPair(LOPSIDED, LOPSIDED), 5.0, 0.0),
+    (GeneratorPair(NO_ZERO, NO_ZERO), 2.0, 2.0),
+]
+
+
+@pytest.mark.parametrize("pair, a, b", NEG_POINTS)
+def test_c_neg_is_the_direct_routes_neg(pair, a, b):
+    # the guarded zero minus z: the same bits, signed zeros included
+    # (before, c_neg of (1, 0) gave (-1.0, -0.0)), or the same refusal
+    # (before, c_neg under no-zero named -2.0, not the zero)
+    got = outcome(c_neg, from_preimages(pair, a, b))
+    want = outcome(dual_mode_eval, Unary("neg", _lit(a, b)), pair, "direct")
+    n = 4 if got[0] == "value" else 3  # only the route names a subterm
+    assert got[:n] == want[:n]
+

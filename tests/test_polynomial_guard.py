@@ -108,3 +108,11 @@ def test_results_out_of_range_are_still_refused():
     # at the lattice's point 1, w = 1/2: 1.7e308 + 1.7e308 w overflows
     with pytest.raises(GeneratorOverflowError, match=r"preimage inf .* at point 1$"):
         poly_to_grid(_real(II, 1.7e308, 1.7e308), make_disk_domain(II, 1, 4))
+
+
+def test_no_coefficients_are_refused_as_the_constructor_refuses():
+    # before, of_preimages built a polynomial of degree -1, on which
+    # poly_eval and poly_to_grid died with IndexError
+    for build in (lambda: StarPolynomial(II, ()), lambda: StarPolynomial.of_preimages(II, ())):
+        with pytest.raises(ValueError, match="^a polynomial needs at least one coefficient$"):
+            build()
