@@ -15,11 +15,16 @@ grammar, the JSON shapes, and the exit codes are stable contracts:
            more than 400000 --max-terms)
 
 Output is deterministic: same argv, same bytes.
+
+``main`` parses argv with one parser, built on its first call and reused
+for the life of the process; ``build_parser`` still returns a new one on
+each call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -165,6 +170,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_ax.add_argument("--trials", type=int, default=500)
 
     return p
+
+
+# argparse keeps no per-parse state on a parser and looks up sys.stdout and
+# sys.stderr when it writes, so one parser serves every main call
+_parser = functools.cache(build_parser)
 
 
 def _value_dict(z: StarComplex) -> dict[str, float]:
@@ -375,9 +385,8 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return int(e.code) if e.code is not None else 0
     try:

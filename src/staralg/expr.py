@@ -33,7 +33,7 @@ import math
 import operator
 import random
 from dataclasses import dataclass
-from typing import Any, Callable, Union
+from typing import Any, Callable, NamedTuple, Union
 
 from .errors import ParseError, StarDivisionError, StarError, UnboundVariableError
 
@@ -115,8 +115,7 @@ MAX_NESTING = 200
 # tokenizer
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "num" | "name" | "sym" | "end"
     text: str
     offset: int

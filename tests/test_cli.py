@@ -3,6 +3,7 @@ import io
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -415,3 +416,118 @@ def test_module_entry_point():
     proc = _python("-m", "staralg", "eval", "(3,4)", "--json")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["norm_preimage"] == pytest.approx(5.0)
+
+
+# --- one parser per process --------------------------------------------------
+
+# non-default options, then the defaults again, with usage errors between:
+# a call that reused the parser must print what the same argv prints alone
+SHARED_PARSER_SEQUENCE = [
+    ["eval", "(1,2)*(3,4)", "--json"],
+    ["eval", "(1,2)*(3,4)"],
+    ["eval", "(2,1)/(1,1)", "--alpha", "exp", "--beta", "exp"],
+    ["eval", "(1,0)", "--tol", "nan"],
+    ["eval", "(2,1)/(1,1)"],
+    ["eval", "conj((1,2))*i", "--mode", "pullback", "--json"],
+    ["differentiate", "(1,0)"],
+    ["eval", "conj((1,2))*i", "--json"],
+    ["invert", "(0.6,0.1)", "--tol", "1e-3", "--json"],
+    ["invert", "(0.6,0.1)", "--json"],
+    ["grid", "z*z+(1,0)", "--radial", "1", "--angular", "3"],
+    ["axioms", "--carrier", "grid"],
+    ["grid", "z*z+(1,0)", "--json"],
+    ["axioms", "--suite", "norm", "--carrier", "grid", "--radial", "1",
+     "--angular", "3", "--trials", "4", "--seed", "3", "--json"],
+    ["eval", "(1,"],
+    ["axioms", "--suite", "norm", "--carrier", "grid", "--trials", "4"],
+    ["axioms", "--suite", "field", "--trials", "7"],
+    ["quotient", "z*z", "--at", "(0.5,0)", "--radial", "1", "--angular", "2"],
+    ["quotient", "z*z", "--json"],
+    ["--help"],
+    ["eval", "--help"],
+    ["eval", "(1,2)"],
+]
+
+
+def test_the_shared_parser_leaks_nothing_between_calls(monkeypatch):
+    # help and usage text wrap at the terminal width; fix it on both sides
+    monkeypatch.setenv("COLUMNS", "80")
+    for argv in SHARED_PARSER_SEQUENCE:
+        code, out, err = run(argv)
+        alone = _python("-m", "staralg", *argv)
+        assert (code, out, err) == (alone.returncode, alone.stdout, alone.stderr), argv
+
+
+def test_help_is_the_parsers_help(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run(["--help"])
+    assert (code, err) == (0, "")
+    assert out == build_parser().format_help()
+
+
+def test_main_builds_one_parser_and_import_builds_none():
+    code = (
+        "import argparse, contextlib, io\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting(self, *a, **k):\n"
+        "    built.append(self)\n"
+        "    init(self, *a, **k)\n"
+        "argparse.ArgumentParser.__init__ = counting\n"
+        "import staralg\n"
+        "from staralg import cli\n"
+        "print(len(built))\n"
+        "with contextlib.redirect_stdout(io.StringIO()), "
+        "contextlib.redirect_stderr(io.StringIO()):\n"
+        "    for argv in (['eval', '(1,2)'], ['eval', '(1,'], ['spam']) * 10:\n"
+        "        cli.main(argv)\n"
+        "after_main = len(built)\n"
+        "cli.build_parser()\n"
+        "print(after_main, len(built) - after_main)\n"
+        "print(cli._parser.cache_info().misses)\n"
+    )
+    proc = _python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    at_import, (after_main, one_build), misses = (
+        line.split() for line in proc.stdout.splitlines()
+    )
+    assert at_import == ["0"]
+    # thirty calls built exactly the parsers of one build_parser()
+    assert after_main == one_build != "0"
+    assert misses == ["1"]
+
+
+def test_build_parser_returns_a_new_parser_each_call():
+    assert build_parser() is not build_parser()
+
+
+# --- the console script -----------------------------------------------------
+
+
+def _console_script_target() -> tuple[str, str]:
+    """The ``staralg`` entry of ``[project.scripts]`` in pyproject.toml, read
+    without tomllib, which Python 3.10 lacks."""
+    text = (SRC.parent / "pyproject.toml").read_text()
+    section = text.split("[project.scripts]", 1)[1].split("\n[", 1)[0]
+    (target,) = re.findall(r'^staralg\s*=\s*"([\w.]+:\w+)"\s*$', section, re.M)
+    module, attr = target.split(":")
+    return module, attr
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [(["eval", "(1,2)*(3,4)"], 0), (["--help"], 0), (["eval", "(1,"], 2)],
+)
+def test_console_script(argv, want):
+    module, attr = _console_script_target()
+    # what the wrapper that pip installs does
+    code = (
+        "import sys\n"
+        f"from {module} import {attr}\n"
+        f"sys.argv = ['staralg', *{argv!r}]\n"
+        f"sys.exit({attr}())\n"
+    )
+    proc = _python("-c", code)
+    alone = _python("-m", "staralg", *argv)
+    assert proc.returncode == want, proc.stderr
+    assert (proc.stdout, proc.stderr) == (alone.stdout, alone.stderr)

@@ -135,3 +135,16 @@ def test_literal_round_trip_exact(a, b):
     t = Lit(a, b)
     back = parse_expr(to_text(t))
     assert back == t
+
+
+def test_unicode_in_the_tokenizer():
+    # str.isdigit and str.isspace decide, so other scripts' decimal digits
+    # are numbers, superscripts are digits that float() refuses, and
+    # U+3000 and the separator controls are whitespace
+    assert parse_expr("(٣,0)") == Lit(3.0, 0.0)  # Arabic-Indic three
+    assert parse_expr("(３,0)") == Lit(3.0, 0.0)  # full-width three
+    with pytest.raises(ParseError) as exc:
+        parse_expr("(3²,0)")
+    assert str(exc.value) == "bad number '3²'"
+    assert exc.value.offset == 1
+    assert parse_expr("　(1,2)\x1c+\x1c(3,4)　") == parse_expr("(1,2)+(3,4)")
