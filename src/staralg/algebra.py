@@ -266,6 +266,7 @@ class GridDomain:
     def index_of(self, z: StarComplex) -> int:
         """Index of the grid point matching z within 1e-9 on preimages;
         the lowest such index when several match."""
+        _same_pair(z.pair, self.pair)
         w = z.value
         # every grid point lies in the unit square, so anything outside
         # it (NaN and infinities included) is off the grid; the test also

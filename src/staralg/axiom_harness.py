@@ -459,6 +459,8 @@ def _run_trials(
     error text as its counterexample."""
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    if not tol >= 0.0:
+        raise ValueError("tol must be a number at least 0")
     rng = random.Random(seed)
     worst = 0.0
     counterexample: dict[str, Any] | None = None

@@ -10,9 +10,9 @@ grammar, the JSON shapes, and the exit codes are stable contracts:
   exit 2   usage error (syntax error, unknown name, z where no point is
            bound, a base point that is not on the grid, a tolerance that
            is not finite and positive, an expression nested too deeply,
-           a lattice of more than 4096 points, more than 40000 --trials,
-           more than 250000 trials x lattice points on the grid carrier,
-           more than 400000 --max-terms)
+           more than 4096 `radial x angular` points, more than 40000
+           --trials, more than 250000 trials x lattice points on the grid
+           carrier, more than 400000 --max-terms)
 
 Output is deterministic: same argv, same bytes.
 
@@ -61,7 +61,7 @@ from .star_complex import (
     one,
 )
 
-__all__ = ["build_parser", "main", "run_command"]
+__all__ = ["build_parser", "main"]
 
 # most radial x angular lattice points. Building the domain is linear in
 # the count; the cap bounds the output of grid, a line or a JSON record
@@ -408,10 +408,6 @@ def main(argv: list[str] | None = None) -> int:
         where = f" in subterm {sub}" if sub else ""
         print(f"error: {e}{where}", file=sys.stderr)
         return 1
-
-
-# the same entry point under a call-style name, for embedding
-run_command = main
 
 
 if __name__ == "__main__":

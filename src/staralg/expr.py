@@ -171,7 +171,6 @@ def _tokenize(src: str) -> list[_Token]:
 
 class _Parser:
     def __init__(self, src: str):
-        self.src = src
         self.toks = _tokenize(src)
         self.pos = 0
         self.depth = 0

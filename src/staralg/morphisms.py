@@ -6,8 +6,8 @@ they return the same report type and the CLI and the scripts render
 them identically. A law returns its residual and the source elements it
 drew, and the runner renders those of the first counterexample only. A
 law that two checks share (multiplicativity, and intertwining the
-involutions) is written once, over the handle. A handle remembers which
-of its properties have been verified; nothing is assumed up front.
+involutions) is written once, over the handle. A check returns its
+report and leaves the handle as it was.
 """
 
 from __future__ import annotations
@@ -48,20 +48,12 @@ __all__ = [
 
 @dataclass
 class HomomorphismHandle:
-    """A map between two carriers, with verification flags.
-
-    The flags start False and are flipped by the corresponding checks;
-    they are bookkeeping, not promises.
-    """
+    """A map between two carriers, with a descriptive name."""
 
     source: Algebra
     target: Algebra
     map: Callable[[Any], Any]
     name: str = "map"
-    linear_verified: bool = False
-    multiplicative_verified: bool = False
-    star_verified: bool = False
-    unital_verified: bool = False
 
 
 def evaluation_functional(dom: GridDomain, at: StarComplex) -> HomomorphismHandle:
@@ -104,10 +96,7 @@ def _law_star_intertwines(h: HomomorphismHandle, rng: random.Random):
 def homomorphism_check(
     h: HomomorphismHandle, trials: int = 500, tol: float = 1e-9, seed: int = 0
 ) -> AxiomReport:
-    """Audit linearity and multiplicativity of the map on random inputs.
-
-    Flips the handle's flags when the corresponding laws pass.
-    """
+    """Audit linearity and multiplicativity of the map on random inputs."""
     src, tgt, phi = h.source, h.target, h.map
 
     def law_linear(rng):
@@ -118,11 +107,7 @@ def homomorphism_check(
         return _rel_dist(tgt, lhs, rhs), {"x": x, "y": y, "scalar": lam}
 
     laws = [("linear", law_linear), ("multiplicative", partial(_law_multiplicative, h))]
-    report = _run_trials(laws, "homomorphism", src, trials, tol, seed)
-    if report.passed:
-        h.linear_verified = True
-        h.multiplicative_verified = True
-    return report
+    return _run_trials(laws, "homomorphism", src, trials, tol, seed)
 
 
 def star_homomorphism_check(
@@ -134,10 +119,7 @@ def star_homomorphism_check(
             "star check needs involutions on both carriers"
         )
     laws = [("star-intertwines", partial(_law_star_intertwines, h))]
-    report = _run_trials(laws, "star-homomorphism", h.source, trials, tol, seed)
-    if report.passed:
-        h.star_verified = True
-    return report
+    return _run_trials(laws, "star-homomorphism", h.source, trials, tol, seed)
 
 
 def kernel_membership(h: HomomorphismHandle, x: Any, tol: float = 1e-9) -> bool:
@@ -283,10 +265,7 @@ def unital_functional_check(
         ("invertible-nonvanishing", law_invertible_nonvanishing),
         ("contraction", law_contraction),
     ]
-    report = _run_trials(laws, "unital-functional", src, trials, tol, seed)
-    if report.passed:
-        h.unital_verified = True
-    return report
+    return _run_trials(laws, "unital-functional", src, trials, tol, seed)
 
 
 # ---------------------------------------------------------------------------

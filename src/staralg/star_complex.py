@@ -15,7 +15,7 @@ import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from .errors import PairMismatchError, StarDivisionError, UnboundVariableError
 from .expr import Lit, Node, eval_classical, fold
@@ -24,7 +24,6 @@ from .star_real import StarReal, from_preimage, preimage_close
 
 __all__ = [
     "StarComplex",
-    "Constants",
     "from_preimages",
     "from_classical",
     "random_point",
@@ -37,8 +36,6 @@ __all__ = [
     "c_norm",
     "zero",
     "one",
-    "i_unit",
-    "constants",
     "approx_eq",
     "dual_mode_eval",
 ]
@@ -155,21 +152,6 @@ def zero(pair: GeneratorPair) -> StarComplex:
 def one(pair: GeneratorPair) -> StarComplex:
     """Multiplicative identity (alpha(1), beta(0))."""
     return from_preimages(pair, 1.0, 0.0)
-
-
-def i_unit(pair: GeneratorPair) -> StarComplex:
-    """The imaginary unit (alpha(0), beta(1)); squares to the negated one."""
-    return from_preimages(pair, 0.0, 1.0)
-
-
-class Constants(NamedTuple):
-    zero: StarComplex
-    one: StarComplex
-    i_unit: StarComplex
-
-
-def constants(pair: GeneratorPair) -> Constants:
-    return Constants(zero(pair), one(pair), i_unit(pair))
 
 
 def approx_eq(

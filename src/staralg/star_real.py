@@ -18,7 +18,7 @@ from .errors import (
     NegativeSqrtError,
     StarDivisionError,
 )
-from .generators import Generator, GeneratorPair, apply_inverse, guard
+from .generators import Generator, apply_inverse, guard
 
 __all__ = [
     "StarReal",
@@ -26,14 +26,9 @@ __all__ = [
     "from_preimage",
     "arith",
     "compare",
-    "less_equal",
-    "alpha_abs",
     "square",
     "sqrt",
-    "embed_int",
-    "zero_of",
     "one_of",
-    "iota",
     "series_sum",
     "preimage_close",
 ]
@@ -72,19 +67,9 @@ def from_preimage(g: Generator, t: float) -> StarReal:
     return object.__new__(StarReal)._set(g, guard(g, t))
 
 
-def zero_of(g: Generator) -> StarReal:
-    """Additive identity of the line: the image of 0."""
-    return from_preimage(g, 0.0)
-
-
 def one_of(g: Generator) -> StarReal:
     """Multiplicative identity of the line: the image of 1."""
     return from_preimage(g, 1.0)
-
-
-def embed_int(g: Generator, n: int) -> StarReal:
-    """The image of the integer n; embeds the classical integers."""
-    return from_preimage(g, float(n))
 
 
 def _same_gen(y: StarReal, z: StarReal) -> None:
@@ -126,21 +111,6 @@ def compare(y: StarReal, z: StarReal) -> int:
     return (p > q) - (p < q)
 
 
-def less_equal(y: StarReal, z: StarReal) -> bool:
-    return compare(y, z) <= 0
-
-
-def alpha_abs(x: StarReal) -> StarReal:
-    """Order-based absolute value: x above zero stays, below zero negates."""
-    zero = zero_of(x.gen)
-    c = compare(x, zero)
-    if c > 0:
-        return x
-    if c == 0:
-        return zero
-    return arith("sub", zero, x)
-
-
 def square(b: StarReal) -> StarReal:
     """b times b in the line's arithmetic."""
     return arith("mul", b, b)
@@ -161,19 +131,6 @@ def sqrt(b: StarReal) -> StarReal:
                 f"square root of a value below zero (preimage {p!r})"
             )
     return from_preimage(b.gen, math.sqrt(p))
-
-
-def iota(pair: GeneratorPair, u: StarReal) -> StarReal:
-    """Carry a value from the pair's alpha line to its beta line.
-
-    The result has the same preimage, so sums, products, and order are
-    preserved; this is the canonical isomorphism between the two lines.
-    """
-    if u.gen != pair.alpha:
-        raise GeneratorMismatchError(
-            f"iota expects a value over {pair.alpha.name}, got {u.gen.name}"
-        )
-    return from_preimage(pair.beta, u.preimage)
 
 
 @dataclass(frozen=True)
@@ -206,7 +163,7 @@ def series_sum(
     overflow on heavily curved lines is caught and reported rather than
     silently saturating.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError("tol must be positive")
     if max_terms < 1:
         raise ValueError("max_terms must be at least 1")

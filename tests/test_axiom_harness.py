@@ -240,19 +240,32 @@ def test_star_closure_without_an_involution_raises_before_any_draw():
     assert draws == []
 
 
-def test_every_check_refuses_zero_trials():
+def _every_check(**kwargs):
+    """The six checks on the trial runner, each called with kwargs."""
     dom = make_disk_domain(IE, 1, 4)
     h = evaluation_functional(dom, dom.points[1])
     subset = SubsetSpec("everything", lambda x, tol: True, grid(IE).sample)
-    runs = [
-        lambda: run_axiom_suite("norm", scalar(IE), trials=0),
-        lambda: subalgebra_closure_check(grid(IE), subset, trials=0),
-        lambda: homomorphism_check(h, trials=0),
-        lambda: star_homomorphism_check(h, trials=0),
-        lambda: kernel_image_closure_check(h, trials=0),
-        lambda: unital_functional_check(h, trials=0),
+    return [
+        lambda: run_axiom_suite("norm", scalar(IE), **kwargs),
+        lambda: subalgebra_closure_check(grid(IE), subset, **kwargs),
+        lambda: homomorphism_check(h, **kwargs),
+        lambda: star_homomorphism_check(h, **kwargs),
+        lambda: kernel_image_closure_check(h, **kwargs),
+        lambda: unital_functional_check(h, **kwargs),
     ]
-    for run in runs:
+
+
+def test_every_check_refuses_zero_trials():
+    for run in _every_check(trials=0):
         with pytest.raises(ValueError, match="trials must be at least 1"):
             run()
-    assert not (h.linear_verified or h.star_verified or h.unital_verified)
+
+
+def test_every_check_refuses_a_nan_tolerance():
+    # a NaN tolerance would fail every law and name none of them
+    for run in _every_check(tol=float("nan")):
+        with pytest.raises(ValueError, match="tol must be a number at least 0"):
+            run()
+    # zero stays a tolerance
+    for run in _every_check(trials=2, tol=0.0):
+        run()

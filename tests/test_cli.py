@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from staralg import from_preimages, pair_of, run_command
+from staralg import from_preimages, pair_of
 from staralg import cli
 from staralg.cli import _inverse_matches, build_parser, main
 
@@ -388,10 +388,6 @@ def test_default_pair_is_classical():
     assert doc["value"]["b_preimage"] == pytest.approx(4.0)
     # identity generators: images and preimages coincide
     assert doc["value"]["a_image"] == doc["value"]["a_preimage"]
-
-
-def test_run_command_is_main():
-    assert run_command is main
 
 
 def test_parser_lists_all_subcommands():

@@ -11,6 +11,7 @@ import pytest
 
 from staralg import (
     DomainMismatchError,
+    EvaluationIdeal,
     GeneratorMismatchError,
     GridDomain,
     GridFunction,
@@ -21,6 +22,7 @@ from staralg import (
     c_mul,
     coordinate_function,
     dual_mode_eval,
+    evaluation_functional,
     fn_add,
     fn_mul,
     fn_scalar_mul,
@@ -57,6 +59,8 @@ def _cases():
     p = StarPolynomial(IE, (one(IE), one(IE)))
     q = StarPolynomial(EE, (one(EE),))
     stray = from_preimages(EE, 0.25, 0.0)
+    # the grid's origin, but over the other pair
+    origin = from_preimages(EE, 0.0, 0.0)
     return {
         "c_mul": lambda: c_mul(one(IE), stray),
         "fn_scalar_mul": lambda: fn_scalar_mul(stray, coordinate_function(dom)),
@@ -70,6 +74,10 @@ def _cases():
         "StarPolynomial": lambda: StarPolynomial(IE, (one(IE), stray)),
         "GridDomain": lambda: GridDomain(IE, (from_preimages(EE, 0.0, 0.0),)),
         "random_sample": lambda: random_sample("grid-function", EE, domain=dom),
+        "index_of": lambda: dom.index_of(origin),
+        "EvaluationIdeal": lambda: EvaluationIdeal(dom, origin),
+        "evaluation_functional": lambda: evaluation_functional(dom, origin),
+        "value_at": lambda: coordinate_function(dom).value_at(origin),
     }
 
 

@@ -29,7 +29,6 @@ from staralg import (
     grid_algebra,
     hermitian_parts,
     kernel_image_closure_check,
-    less_equal,
     make_disk_domain,
     neumann_inverse,
     one,
@@ -141,13 +140,6 @@ def test_unknown_arithmetic_kind_is_refused():
     y = from_preimage(IE.alpha, 2.0)
     with pytest.raises(ValueError, match="unknown arithmetic kind 'pow'"):
         arith("pow", y, y)
-
-
-def test_less_equal_follows_the_line_order():
-    lo, hi = from_preimage(IE.beta, -1.0), from_preimage(IE.beta, 2.0)
-    assert less_equal(lo, hi)
-    assert less_equal(lo, lo)
-    assert not less_equal(hi, lo)
 
 
 def test_zero_max_terms_is_refused():

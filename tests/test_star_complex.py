@@ -16,12 +16,10 @@ from staralg import (
     c_neg,
     c_norm,
     c_sub,
-    constants,
     dual_mode_eval,
     eval_classical,
     from_classical,
     from_preimages,
-    i_unit,
     one,
     pair_of,
     parse_expr,
@@ -50,16 +48,16 @@ def test_norm_is_beta_value(pair):
 
 
 def test_constants(pair):
-    c = constants(pair)
-    assert c.zero.preimages == (0.0, 0.0)
-    assert c.one.preimages == (1.0, 0.0)
-    assert c.i_unit.preimages == (0.0, 1.0)
+    z, o, i = zero(pair), one(pair), from_preimages(pair, 0.0, 1.0)
+    assert z.preimages == (0.0, 0.0)
+    assert o.preimages == (1.0, 0.0)
+    assert i.preimages == (0.0, 1.0)
     # the imaginary unit squares to the negated one
-    sq = c_mul(c.i_unit, c.i_unit)
-    assert approx_eq(sq, c_neg(c.one))
+    sq = c_mul(i, i)
+    assert approx_eq(sq, c_neg(o))
     # images follow the generators
-    assert c.zero.a.image == pair.alpha.forward(0.0)
-    assert c.one.a.image == pair.alpha.forward(1.0)
+    assert z.a.image == pair.alpha.forward(0.0)
+    assert o.a.image == pair.alpha.forward(1.0)
 
 
 def test_field_identities(pair):
