@@ -25,6 +25,7 @@ from .errors import (
 from .generators import GeneratorPair, guard, guard_points
 from .star_complex import (
     StarComplex,
+    _DRAW_BOUND,
     _same_pair,
     c_add,
     c_conj,
@@ -149,11 +150,11 @@ def _describe(x: GridFunction | StarPolynomial) -> list[list[float]]:
 # the scalar field as a one-dimensional carrier
 
 
-def scalar_algebra(pair: GeneratorPair, sample_bound: float = 3.0) -> Algebra:
+def scalar_algebra(pair: GeneratorPair) -> Algebra:
     """The field itself: multiplication doubles as scalar action."""
 
     def sample(rng: random.Random) -> StarComplex:
-        return random_point(rng, pair, sample_bound)
+        return random_point(rng, pair)
 
     def sub(z: StarComplex, w: StarComplex) -> StarComplex:
         _same_pair(pair, w.pair)
@@ -416,12 +417,12 @@ def sup_norm(f: GridFunction) -> StarReal:
     return from_preimage(f.domain.pair.beta, _max_modulus(f.preimages))
 
 
-def grid_algebra(dom: GridDomain, sample_bound: float = 3.0) -> Algebra:
+def grid_algebra(dom: GridDomain) -> Algebra:
     """Functions on a finite grid with pointwise operations and sup norm."""
     pair = dom.pair
 
     def sample(rng: random.Random) -> GridFunction:
-        return GridFunction.of_preimages(dom, _draw(rng, len(dom), sample_bound))
+        return GridFunction.of_preimages(dom, _draw(rng, len(dom), _DRAW_BOUND))
 
     def sub(f: GridFunction, g: GridFunction) -> GridFunction:
         _same_pair(pair, g.domain.pair)
@@ -501,13 +502,12 @@ def _nonempty(zs: tuple[complex, ...]) -> tuple[complex, ...]:
 
 
 def make_polynomial(
-    pair: GeneratorPair,
-    coefficients: tuple[StarComplex, ...] | list[StarComplex],
-    trim_tol: float = 1e-12,
+    pair: GeneratorPair, coefficients: tuple[StarComplex, ...] | list[StarComplex]
 ) -> StarPolynomial:
-    """Build a polynomial, trimming trailing near-zero coefficients."""
+    """Build a polynomial, trimming trailing coefficients of preimage
+    modulus at most 1e-12."""
     coeffs = list(coefficients)
-    while len(coeffs) > 1 and math.hypot(*coeffs[-1].preimages) <= trim_tol:
+    while len(coeffs) > 1 and math.hypot(*coeffs[-1].preimages) <= 1e-12:
         coeffs.pop()
     return StarPolynomial(pair, tuple(coeffs))
 
@@ -567,21 +567,19 @@ def poly_to_grid(p: StarPolynomial, dom: GridDomain) -> GridFunction:
     return GridFunction.of_preimages(dom, tuple(_horner(zs, w) for w in dom.preimages))
 
 
-def polynomial_algebra(
-    dom: GridDomain, max_sample_degree: int = 3, sample_bound: float = 1.0
-) -> Algebra:
+def polynomial_algebra(dom: GridDomain) -> Algebra:
     """Polynomials with the sup norm of their restriction to a grid.
 
-    Sampled degrees and coefficient bounds stay small so that triple
-    products taken inside law checks neither vanish on the grid without
-    being zero nor push coefficient preimages past the exp generator's
-    working domain.
+    Sampled degrees (at most 3) and coefficient bounds (1) stay small so
+    that triple products taken inside law checks neither vanish on the
+    grid without being zero nor push coefficient preimages past the exp
+    generator's working domain.
     """
     pair = dom.pair
 
     def sample(rng: random.Random) -> StarPolynomial:
-        deg = rng.randint(0, max_sample_degree)
-        return StarPolynomial.of_preimages(pair, _draw(rng, deg + 1, sample_bound))
+        deg = rng.randint(0, 3)
+        return StarPolynomial.of_preimages(pair, _draw(rng, deg + 1, 1.0))
 
     def sub(p: StarPolynomial, q: StarPolynomial) -> StarPolynomial:
         _same_pair(pair, q.pair)
@@ -651,14 +649,16 @@ class ElementClass:
     unitary: bool
 
 
-def classify_element(A: Algebra, x: Any, tol: float = 1e-9) -> ElementClass:
-    """Flags for x against its star: fixed, commuting, and inverse.
+def classify_element(A: Algebra, x: Any) -> ElementClass:
+    """Flags for x against its star: fixed, commuting, and inverse, each
+    within 1e-9 in the carrier's distance.
 
     Requires an involution; the unitary flag additionally requires a
     unit (MissingUnitError otherwise, since the question has no meaning).
     """
     if A.involution is None:
         raise MissingInvolutionError(f"{A.name}: classification needs an involution")
+    tol = 1e-9
     xs = A.involution(x)
     hermitian = A.distance(x, xs) <= tol
     left = A.mul(x, xs)
@@ -706,15 +706,15 @@ class SubsetSpec:
     star_closed: bool = False
 
 
-def norm_ball_subset(dom: GridDomain, radius: float = 1.0) -> SubsetSpec:
-    """Functions with sup norm at most ``radius``. Not closed under
-    addition; useful as a deliberate closure-check failure."""
+def norm_ball_subset(dom: GridDomain) -> SubsetSpec:
+    """Functions with sup norm at most 1. Not closed under addition;
+    useful as a deliberate closure-check failure."""
 
     def contains(f: GridFunction, tol: float) -> bool:
-        return sup_norm(f).preimage <= radius + tol
+        return sup_norm(f).preimage <= 1.0 + tol
 
     def sample_member(rng: random.Random) -> GridFunction:
-        target = rng.uniform(0.5 * radius, radius)
+        target = rng.uniform(0.5, 1.0)
         vals = list(_draw(rng, len(dom), 1.0))
         peak = max(abs(v) for v in vals)
         if peak == 0.0:
@@ -724,47 +724,43 @@ def norm_ball_subset(dom: GridDomain, radius: float = 1.0) -> SubsetSpec:
         return GridFunction.of_preimages(dom, tuple(v * scale for v in vals))
 
     return SubsetSpec(
-        name=f"sup-norm ball of radius {radius:g}",
+        name="sup-norm ball of radius 1",
         contains=contains,
         sample_member=sample_member,
         star_closed=True,
     )
 
 
-def polynomial_subset(
-    dom: GridDomain,
-    max_degree: int = 2,
-    fit_degree: int = 4,
-    fit_tol: float = 1e-7,
-) -> SubsetSpec:
-    """Grid restrictions of polynomials of degree at most ``fit_degree``.
+def polynomial_subset(dom: GridDomain) -> SubsetSpec:
+    """Grid restrictions of polynomials of degree at most 4.
 
-    Membership is decided by a least-squares polynomial fit on the grid
-    points: members leave residuals at rounding scale, generic functions
-    on 10+ points do not. Sampled members have degree at most
-    ``max_degree`` so that products stay within the fit degree.
+    Membership is decided by a least-squares fit of degree 4 on the grid
+    points: members leave residuals at rounding scale (at most 1e-7, or
+    the check's tolerance if larger), generic functions on 10+ points do
+    not. Sampled members have degree at most 2 so that products stay
+    within the fit degree.
     """
     import numpy as np  # only this probe needs it; importing staralg stays light
 
     pts = np.array(dom.preimages)
-    vander = np.vander(pts, N=fit_degree + 1, increasing=True)
-    if len(dom.points) <= fit_degree + 1:
+    vander = np.vander(pts, N=5, increasing=True)
+    if len(dom.points) <= 5:
         raise ValueError("grid too small to separate polynomials from the rest")
 
     def contains(f: GridFunction, tol: float) -> bool:
         vals = np.array(f.preimages)
         coef, *_ = np.linalg.lstsq(vander, vals, rcond=None)
         residual = float(np.max(np.abs(vander @ coef - vals)))
-        return residual <= max(fit_tol, tol)
+        return residual <= max(1e-7, tol)
 
     def sample_member(rng: random.Random) -> GridFunction:
-        deg = rng.randint(0, max_degree)
+        deg = rng.randint(0, 2)
         return poly_to_grid(
             StarPolynomial.of_preimages(dom.pair, _draw(rng, deg + 1, 2.0)), dom
         )
 
     return SubsetSpec(
-        name=f"polynomials of degree <= {fit_degree} on the grid",
+        name="polynomials of degree <= 4 on the grid",
         contains=contains,
         sample_member=sample_member,
         star_closed=False,
@@ -778,7 +774,7 @@ def ideal_subset(I: EvaluationIdeal) -> SubsetSpec:
         return ideal_membership(I, f, tol)
 
     def sample_member(rng: random.Random) -> GridFunction:
-        raw = _draw(rng, len(I.domain), 3.0)
+        raw = _draw(rng, len(I.domain), _DRAW_BOUND)
         base = raw[I.index]
         # shifting by the base-point value lands exactly in the ideal
         return GridFunction.of_preimages(I.domain, tuple(v - base for v in raw))

@@ -40,6 +40,7 @@ from .generators import GeneratorPair
 from .report import AxiomReport
 from .star_complex import (
     StarComplex,
+    _DRAW_BOUND,
     _same_pair,
     c_add,
     c_conj,
@@ -89,7 +90,7 @@ def _sample_away_from_zero(A: Algebra, rng: random.Random):
 def random_sample(
     kind: str,
     pair: GeneratorPair,
-    bound: float = 3.0,
+    bound: float = _DRAW_BOUND,
     seed: int = 0,
     domain=None,
     degree: int = 3,
@@ -114,8 +115,7 @@ def random_sample(
         _same_pair(pair, dom.pair)
         return GridFunction.of_preimages(dom, _draw(rng, len(dom), bound))
     if kind == "polynomial":
-        if degree < 0:
-            raise ValueError("a polynomial needs at least one coefficient")
+        # a negative degree draws no coefficient, which the constructor refuses
         return StarPolynomial.of_preimages(pair, _draw(rng, degree + 1, bound))
     raise ValueError(f"unknown sample kind {kind!r}")
 

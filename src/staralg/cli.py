@@ -1,7 +1,12 @@
 """Command line front end.
 
-Subcommands: eval, invert, grid, quotient, axioms. The expression
-grammar, the JSON shapes, and the exit codes are stable contracts:
+Subcommands: eval, invert, grid, quotient, axioms. Each takes only the
+options it reads: --alpha, --beta and --json everywhere; --mode on eval,
+invert, grid and quotient; --tol on eval, invert, quotient and axioms;
+--radial and --angular on grid, quotient and axioms; --seed on axioms
+alone. An option a subcommand does not take is a usage error. The
+expression grammar, the JSON shapes, and the exit codes are stable
+contracts:
 
   exit 0   the command ran and every check it implies passed
   exit 1   the command ran but a check failed (modes disagree, series
@@ -91,26 +96,28 @@ def _tolerance(text: str) -> float:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
+    # one parent per option group, so that each subcommand takes only the
+    # options it reads
+    pair = argparse.ArgumentParser(add_help=False)
+    pair.add_argument(
         "--alpha", default="identity", metavar="GEN",
         help="first-coordinate generator: %s" % ", ".join(builtin_names()),
     )
-    common.add_argument(
+    pair.add_argument(
         "--beta", default="identity", metavar="GEN",
         help="second-coordinate generator",
     )
-    common.add_argument(
+    mode = argparse.ArgumentParser(add_help=False)
+    mode.add_argument(
         "--mode", choices=("direct", "pullback"), default="direct",
         help="evaluation route (default direct)",
     )
-    common.add_argument(
+    tol = argparse.ArgumentParser(add_help=False)
+    tol.add_argument(
         "--tol", type=_tolerance, default=1e-9, help="tolerance (default 1e-9)"
     )
-    common.add_argument(
-        "--seed", type=int, default=0, help="random seed (default 0)"
-    )
-    common.add_argument(
+    as_json = argparse.ArgumentParser(add_help=False)
+    as_json.add_argument(
         "--json", action="store_true", help="emit a JSON document"
     )
 
@@ -129,13 +136,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     p_eval = sub.add_parser(
-        "eval", parents=[common],
+        "eval", parents=[pair, mode, tol, as_json],
         help="evaluate an expression by both routes and compare",
     )
     p_eval.add_argument("expr", help="expression in the documented grammar")
 
     p_inv = sub.add_parser(
-        "invert", parents=[common],
+        "invert", parents=[pair, mode, tol, as_json],
         help="invert a scalar expression by the geometric series",
     )
     p_inv.add_argument("expr")
@@ -144,13 +151,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_grid = sub.add_parser(
-        "grid", parents=[common, grid_opts],
+        "grid", parents=[pair, mode, as_json, grid_opts],
         help="evaluate an expression in z over a disk lattice",
     )
     p_grid.add_argument("expr")
 
     p_quot = sub.add_parser(
-        "quotient", parents=[common, grid_opts],
+        "quotient", parents=[pair, mode, tol, as_json, grid_opts],
         help="quotient norm of an expression in z at a base point",
     )
     p_quot.add_argument("expr")
@@ -160,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_ax = sub.add_parser(
-        "axioms", parents=[common, grid_opts],
+        "axioms", parents=[pair, tol, as_json, grid_opts],
         help="run a law suite against a carrier",
     )
     p_ax.add_argument("--suite", required=True, choices=SUITES)
@@ -168,6 +175,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--carrier", choices=("scalar", "grid"), default="scalar"
     )
     p_ax.add_argument("--trials", type=int, default=500)
+    p_ax.add_argument(
+        "--seed", type=int, default=0, help="random seed (default 0)"
+    )
 
     return p
 

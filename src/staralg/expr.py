@@ -485,14 +485,12 @@ def safe_random_tree(
     rng: random.Random,
     max_depth: int,
     allow_z: bool = False,
-    z_value: complex = 0j,
     bound: float = 50.0,
-    min_denom: float = 0.1,
 ) -> Node:
     """A random tree whose every subtree stays classically representable.
 
-    Each subtree's classical value is kept within ``bound`` in modulus and
-    denominators are kept at least ``min_denom`` away from zero, so the
+    Each subtree's classical value at z = 0 is kept within ``bound`` in
+    modulus and denominators are kept at least 0.1 away from zero, so the
     tree evaluates without overflow on every built-in generator pair
     (images of preimages up to ~50 are safe even under exp). Rejection
     with bounded retries; falls back to a fresh leaf.
@@ -514,10 +512,10 @@ def safe_random_tree(
         op = rng.choice(_BIN_OPS)
         for _ in range(20):
             left, right = build(depth - 1), build(depth - 1)
-            if op == "div" and abs(eval_classical(right, z_value)) < min_denom:
+            if op == "div" and abs(eval_classical(right, 0j)) < 0.1:
                 continue
             node = Binary(op, left, right)
-            if abs(eval_classical(node, z_value)) <= bound:
+            if abs(eval_classical(node, 0j)) <= bound:
                 return node
         return leaf()
 

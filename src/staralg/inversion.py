@@ -153,15 +153,9 @@ class ContinuityBound:
     contraction: float
 
 
-def continuity_bound_check(
-    A: Algebra,
-    x: Any,
-    x0: Any,
-    x0_inv: Any,
-    tol: float = 1e-10,
-    max_terms: int = 10_000,
-) -> ContinuityBound:
-    """Check the factor-2 inversion continuity bound near x0.
+def continuity_bound_check(A: Algebra, x: Any, x0: Any, x0_inv: Any) -> ContinuityBound:
+    """Check the factor-2 inversion continuity bound near x0, inverting x
+    with ``perturbative_inverse`` at its default tolerance and term cap.
 
     Requires the contraction (norm(x0_inv) times norm(x - x0)) to be at
     most 1/2; beyond that the bound has no content and
@@ -174,7 +168,7 @@ def continuity_bound_check(
         raise NotApplicableError(
             f"contraction {c!r} exceeds 1/2; the bound does not apply"
         )
-    rep = perturbative_inverse(A, x, x0, x0_inv, tol=tol, max_terms=max_terms)
+    rep = perturbative_inverse(A, x, x0, x0_inv)
     lhs = from_preimage(A.pair.beta, A.distance(rep.inverse, x0_inv))
     rhs = from_preimage(A.pair.beta, 2.0 * m * m * d)
     met = lhs.preimage <= rhs.preimage + 1e-12

@@ -122,9 +122,9 @@ def star_homomorphism_check(
     return _run_trials(laws, "star-homomorphism", h.source, trials, tol, seed)
 
 
-def kernel_membership(h: HomomorphismHandle, x: Any, tol: float = 1e-9) -> bool:
-    """Does x map to (numerical) zero?"""
-    return h.target.norm(h.map(x)).preimage <= tol
+def kernel_membership(h: HomomorphismHandle, x: Any) -> bool:
+    """Does x map to (numerical) zero, within 1e-9 in the target's norm?"""
+    return h.target.norm(h.map(x)).preimage <= 1e-9
 
 
 def _default_kernel_sampler(h: HomomorphismHandle):
@@ -138,9 +138,7 @@ def _default_kernel_sampler(h: HomomorphismHandle):
     if src.unit is None:
         raise MissingUnitError("kernel sampling needs a unital source")
     if not _is_scalar_carrier(h.target):
-        raise ValueError(
-            "no default kernel sampler for a non-scalar target; pass one"
-        )
+        raise ValueError("no kernel sampler for a non-scalar target")
 
     def sample(rng: random.Random):
         x = src.sample(rng)
@@ -154,7 +152,6 @@ def kernel_image_closure_check(
     trials: int = 500,
     tol: float = 1e-9,
     seed: int = 0,
-    kernel_sampler: Callable[[random.Random], Any] | None = None,
 ) -> AxiomReport:
     """Audit the structural consequences of being a homomorphism.
 
@@ -164,10 +161,11 @@ def kernel_image_closure_check(
     image must be closed under the target operations (checked through
     pushforwards; image-mul and image-star are the laws that
     homomorphism_check and star_homomorphism_check run). Residuals for
-    kernel laws are the norms of mapped elements that should vanish.
+    kernel laws are the norms of mapped elements that should vanish;
+    kernel elements come from ``_default_kernel_sampler``.
     """
     src, tgt, phi = h.source, h.target, h.map
-    sample_k = kernel_sampler if kernel_sampler is not None else _default_kernel_sampler(h)
+    sample_k = _default_kernel_sampler(h)
     starred = src.involution is not None and tgt.involution is not None
     notes = () if starred else ("kernel star-closure skipped: no involution",)
 

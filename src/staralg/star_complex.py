@@ -78,8 +78,12 @@ def from_classical(pair: GeneratorPair, w: complex) -> StarComplex:
     return StarComplex(pair, pair.check(complex(w.real, w.imag)))
 
 
+# the default bound on drawn preimage components, shared by the samplers
+_DRAW_BOUND = 3.0
+
+
 def random_point(
-    rng: random.Random, pair: GeneratorPair, bound: float = 3.0
+    rng: random.Random, pair: GeneratorPair, bound: float = _DRAW_BOUND
 ) -> StarComplex:
     """A point with both preimages drawn uniformly from [-bound, bound]."""
     return from_preimages(
@@ -154,16 +158,13 @@ def one(pair: GeneratorPair) -> StarComplex:
     return from_preimages(pair, 1.0, 0.0)
 
 
-def approx_eq(
-    z: StarComplex, w: StarComplex, rel: float = 1e-9, abs_tol: float = 1e-12
-) -> bool:
-    """Componentwise preimage closeness."""
+def approx_eq(z: StarComplex, w: StarComplex, rel: float = 1e-9) -> bool:
+    """Componentwise preimage closeness, with ``preimage_close``'s
+    absolute floor of 1e-12."""
     _same_pair(z.pair, w.pair)
     a1, b1 = z.preimages
     a2, b2 = w.preimages
-    return preimage_close(a1, a2, rel, abs_tol) and preimage_close(
-        b1, b2, rel, abs_tol
-    )
+    return preimage_close(a1, a2, rel) and preimage_close(b1, b2, rel)
 
 
 # ---------------------------------------------------------------------------

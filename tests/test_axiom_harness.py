@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -32,6 +33,7 @@ from staralg import (
     subalgebra_closure_check,
     unital_functional_check,
 )
+from staralg.axiom_harness import _suite_laws
 
 IE = pair_of("identity", "exp")
 TRIALS = 60  # enough to trip every mutant; the acceptance tests run 500
@@ -269,3 +271,16 @@ def test_every_check_refuses_a_nan_tolerance():
     # zero stays a tolerance
     for run in _every_check(trials=2, tol=0.0):
         run()
+
+
+def test_normed_algebra_without_a_unit_skips_the_unit_laws():
+    unital = polynomial_algebra(make_disk_domain(IE, 2, 8))
+    P = replace(unital, unit=None)
+    laws, _ = _suite_laws("normed-algebra", P)
+    assert "unit-laws" not in [name for name, _ in laws]
+    rep = run_axiom_suite("normed-algebra", P, trials=TRIALS, seed=3)
+    assert rep.passed
+    assert rep.notes == ("unit laws skipped: carrier has no unit",)
+    # with its unit the same carrier runs them
+    laws, notes = _suite_laws("normed-algebra", unital)
+    assert ("unit-laws" in [name for name, _ in laws], notes) == (True, [])

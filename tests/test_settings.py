@@ -1,0 +1,103 @@
+"""Every setting is read.
+
+A library parameter that only one value was ever passed for is a
+constant, and a subcommand takes only the options its command reads: an
+option it does not read is a usage error (exit 2), not silently ignored.
+"""
+
+import contextlib
+import inspect
+import io
+import json
+import pathlib
+import re
+
+import pytest
+
+import staralg
+from staralg.cli import build_parser, main
+
+CASES = json.loads(
+    (pathlib.Path(__file__).parent / "golden" / "cases.json").read_text()
+)
+
+# (function, parameter) pairs that are constants now
+RETIRED_PARAMETERS = [
+    ("scalar_algebra", "sample_bound"),
+    ("grid_algebra", "sample_bound"),
+    ("polynomial_algebra", "max_sample_degree"),
+    ("polynomial_algebra", "sample_bound"),
+    ("make_polynomial", "trim_tol"),
+    ("norm_ball_subset", "radius"),
+    ("polynomial_subset", "max_degree"),
+    ("polynomial_subset", "fit_degree"),
+    ("polynomial_subset", "fit_tol"),
+    ("classify_element", "tol"),
+    ("safe_random_tree", "z_value"),
+    ("safe_random_tree", "min_denom"),
+    ("approx_eq", "abs_tol"),
+    ("kernel_membership", "tol"),
+    ("kernel_image_closure_check", "kernel_sampler"),
+    ("continuity_bound_check", "tol"),
+    ("continuity_bound_check", "max_terms"),
+]
+
+# the options each subcommand reads, besides -h/--help
+OPTIONS = {
+    "eval": {"--alpha", "--beta", "--mode", "--tol", "--json"},
+    "invert": {"--alpha", "--beta", "--mode", "--tol", "--json", "--max-terms"},
+    "grid": {"--alpha", "--beta", "--mode", "--json", "--radial", "--angular"},
+    "quotient": {
+        "--alpha", "--beta", "--mode", "--tol", "--json", "--radial",
+        "--angular", "--at",
+    },
+    "axioms": {
+        "--alpha", "--beta", "--tol", "--seed", "--json", "--radial",
+        "--angular", "--suite", "--carrier", "--trials",
+    },
+}
+
+# a subcommand with an option it used to accept and never read
+RETIRED_FLAGS = [
+    ["eval", "(1,2)", "--seed", "1"],
+    ["invert", "(0.6,0.1)", "--seed", "1"],
+    ["grid", "z", "--seed", "1"],
+    ["quotient", "z", "--seed", "1"],
+    ["axioms", "--suite", "norm", "--mode", "pullback"],
+    ["grid", "z", "--radial", "1", "--angular", "3", "--tol", "0.5"],
+]
+
+
+def run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("name, param", RETIRED_PARAMETERS)
+def test_a_retired_parameter_is_gone(name, param):
+    assert param not in inspect.signature(getattr(staralg, name)).parameters
+
+
+@pytest.mark.parametrize("argv", RETIRED_FLAGS, ids=" ".join)
+def test_an_option_the_subcommand_does_not_read_is_a_usage_error(argv):
+    code, out, err = run(argv)
+    assert (code, out) == (2, "")
+    assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in err
+
+
+@pytest.mark.parametrize("command", sorted(OPTIONS))
+def test_help_lists_only_the_options_the_subcommand_reads(command, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run([command, "--help"])
+    assert (code, err) == (0, "")
+    assert set(re.findall(r"--[a-z][a-z-]*", out)) == OPTIONS[command] | {"--help"}
+
+
+# the transcripts pin each golden argv's output; this pins only that the
+# split options still accept it
+@pytest.mark.parametrize("case", CASES, ids=[c["name"] for c in CASES])
+def test_every_golden_argv_still_parses(case):
+    args = build_parser().parse_args(case["argv"])
+    assert args.command == case["argv"][0]
