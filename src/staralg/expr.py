@@ -12,9 +12,10 @@ Expressions nest at most ``MAX_NESTING`` levels deep, counted two ways.
 Each parenthesis, ``conj(``, ``norm(`` and unary minus opens one level
 of factors, which keeps the parser's recursion well inside Python's
 recursion limit. Each operator node adds one level to the tree, chained
-``+ - * /`` included. The printer and both evaluation routes walk a
-tree without recursion, so they take trees built in code of any depth;
-the tree limit stays as the contract for parsed input.
+``+ - * /`` included. The printer and ``fold`` walk a tree without
+recursion, so they take trees built in code of any depth; the tree
+limit stays as the contract for parsed input, and bounds the one
+reading that recurses, the compiled one below.
 ``i`` is (0, 1), ``1`` is (1, 0), ``0`` is (0, 0). A leading '(' is a
 literal exactly when an optionally signed number followed by a comma
 comes next; otherwise it groups a subexpression.
@@ -25,6 +26,14 @@ reading of a tree is a leaf function plus a table of ops over it. The
 printer ``to_text`` is one, ``eval_classical`` over the ordinary complex
 numbers (the pullback route) is another, and the direct route lives in
 star_complex. Node ``==`` and ``hash`` compare the same post-orders.
+
+Both routes read a tree at a point z through ``read_at``. With z bound,
+the tree is folded once into one function of z for that op table (its
+literals read once, its subtrees without z evaluated once), kept for the
+last (tree, op table) and called at each point of a grid. The fold
+itself reads a tree once: for an unbound z, for a tree deeper than
+``MAX_NESTING`` levels, and again at a point that raises a StarError,
+so that the error names its subterm exactly as the fold does.
 """
 
 from __future__ import annotations
@@ -313,30 +322,22 @@ def parse_expr(src: str) -> Node:
 # ---------------------------------------------------------------------------
 # the one tree walk, and the printer as one reading of it
 
-_last: tuple[Node | None, list[tuple[int, Node]]] = (None, [])
-
-
 def _post_order(node: Node) -> list[tuple[int, Node]]:
     """The nodes of a tree in post-order, each as (arity, node), with
-    arity 0 for a leaf; found on an explicit stack. The last tree's is
-    kept, since per-point callers fold one tree many times; trees are
-    frozen, so ``is`` is an exact test."""
-    global _last
-    if _last[0] is not node:
-        order, todo = [], [node]
-        while todo:  # node, right subtree, left subtree: post-order reversed
-            n = todo.pop()
-            if isinstance(n, Binary):
-                order.append((2, n))
-                todo += (n.left, n.right)
-            elif isinstance(n, Unary):
-                order.append((1, n))
-                todo.append(n.child)
-            else:
-                order.append((0, n))
-        order.reverse()
-        _last = (node, order)
-    return _last[1]
+    arity 0 for a leaf; found on an explicit stack."""
+    order, todo = [], [node]
+    while todo:  # node, right subtree, left subtree: post-order reversed
+        n = todo.pop()
+        if isinstance(n, Binary):
+            order.append((2, n))
+            todo += (n.left, n.right)
+        elif isinstance(n, Unary):
+            order.append((1, n))
+            todo.append(n.child)
+        else:
+            order.append((0, n))
+    order.reverse()
+    return order
 
 
 def fold(node: Node, leaf: Callable[[Node], Any], ops: dict[str, Callable]) -> Any:
@@ -406,6 +407,102 @@ def to_text(node: Node) -> str:
 
 
 # ---------------------------------------------------------------------------
+# a tree read at many points: one compiled reading per (tree, op table)
+
+# A compiled subtree is read by its parent as a constant ("c"), as z
+# itself ("z") or as a function of z ("f"). A node with a child that is
+# not a constant becomes a function of z, made by the entry for how it
+# reads its children, left to right; it calls them in that order, then
+# its op, as the fold does.
+_CLOSURES: dict[str, Callable] = {
+    "z": lambda op, _: op,
+    "f": lambda op, f: lambda z: op(f(z)),
+    "cz": lambda op, a, _: lambda z: op(a, z),
+    "cf": lambda op, a, g: lambda z: op(a, g(z)),
+    "zc": lambda op, _, b: lambda z: op(z, b),
+    "zz": lambda op, _a, _b: lambda z: op(z, z),
+    "zf": lambda op, _, g: lambda z: op(z, g(z)),
+    "fc": lambda op, f, b: lambda z: op(f(z), b),
+    "fz": lambda op, f, _: lambda z: op(f(z), z),
+    "ff": lambda op, f, g: lambda z: op(f(z), g(z)),
+}
+
+
+def _compile(
+    node: Node, lit: Callable[[Lit], Any], ops: dict[str, Callable]
+) -> Callable[[Any], Any] | None:
+    """The tree as one function of z, folded once along its post-order:
+    each literal is read once by ``lit``, and each subtree without z is
+    evaluated once. None for a tree more than MAX_NESTING operator levels
+    deep, since the nested functions recurse once per level."""
+    stack: list[tuple[str, Any, int]] = []  # (how, value, depth)
+    for arity, n in _post_order(node):
+        if not arity:
+            stack.append(("c", lit(n), 0) if isinstance(n, Lit) else ("z", None, 0))
+            continue
+        kids = stack[-arity:]
+        del stack[-arity:]
+        depth = 1 + max(d for _, _, d in kids)
+        if depth > MAX_NESTING:
+            return None
+        how = "".join(h for h, _, _ in kids)
+        args = [v for _, v, _ in kids]
+        if how == "c" * arity:
+            stack.append(("c", ops[n.op](*args), depth))
+        else:
+            stack.append(("f", _CLOSURES[how](ops[n.op], *args), depth))
+    how, v, _ = stack[0]
+    if how == "f":
+        return v
+    return (lambda z: z) if how == "z" else (lambda z: v)
+
+
+# the last compiled reading, as (tree, op table, reading or None); the
+# slot holds both keys alive, so ``is`` on them is an exact test
+_compiled: tuple[Any, Any, Callable | None] = (None, None, None)
+
+
+def read_at(
+    node: Node, lit: Callable[[Lit], Any], ops: dict[str, Callable], z: Any
+) -> Any:
+    """The tree's value at z, under the reading whose literals are
+    ``lit(n)`` and whose ops are ``ops``, the table ``fold`` takes.
+
+    With z bound, this is the tree's compiled reading, kept for the last
+    (tree, op table) since per-point callers read one tree at many
+    points; the op table stands for the whole reading, ``lit`` included.
+    With z unbound, for a tree too deep to compile, and again on any
+    StarError, it is the annotating ``fold``, so that an error's class,
+    message and subterm are the fold's.
+    """
+    global _compiled
+    if z is not None:
+        tree, table, run = _compiled
+        if tree is not node or table is not ops:
+            try:
+                run = _compile(node, lit, ops)
+            except StarError:
+                # a literal or a subtree without z is refused: the fold
+                # raises at every point, and names the subterm
+                run = None
+            _compiled = (node, ops, run)
+        if run is not None:
+            try:
+                return run(z)
+            except StarError:
+                pass
+
+    def leaf(n: Node) -> Any:
+        if isinstance(n, Lit):
+            return lit(n)
+        if z is None:
+            raise UnboundVariableError("z is not bound in this context")
+        return z
+
+    return fold(node, leaf, ops)
+
+
+# ---------------------------------------------------------------------------
 # classical interpretation (the pullback route)
 
 
@@ -436,25 +533,24 @@ _CLASSICAL_OPS = {
 }
 
 
+def _classical_lit(n: Lit) -> complex:
+    return complex(n.a, n.b)
+
+
 def eval_classical(node: Node, z: complex | None = None) -> complex:
     """Evaluate the tree over the ordinary complex numbers.
 
     ``norm`` maps to the classical modulus (as a real-axis value). The
     variable must be bound when the tree mentions z.
     """
-
-    def leaf(n: Node) -> complex:
-        if isinstance(n, Lit):
-            return complex(n.a, n.b)
-        if z is None:
-            raise UnboundVariableError("z is not bound in this context")
-        return z
-
-    return fold(node, leaf, _CLASSICAL_OPS)
+    return read_at(node, _classical_lit, _CLASSICAL_OPS, z)
 
 
 # ---------------------------------------------------------------------------
 # samplers
+
+# the default bound on drawn preimage components, shared by every sampler
+_DRAW_BOUND = 3.0
 
 _BIN_OPS = ("add", "sub", "mul", "div")
 _UN_OPS = ("conj", "norm", "neg")
@@ -470,7 +566,10 @@ def random_tree(
             return Var()
         if r < 0.3:
             return rng.choice((Lit(0.0, 0.0), Lit(1.0, 0.0), Lit(0.0, 1.0)))
-        return Lit(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0))
+        return Lit(
+            rng.uniform(-_DRAW_BOUND, _DRAW_BOUND),
+            rng.uniform(-_DRAW_BOUND, _DRAW_BOUND),
+        )
     if rng.random() < 0.25:
         return Unary(rng.choice(_UN_OPS), random_tree(rng, max_depth - 1, allow_z))
     op = rng.choice(_BIN_OPS)
@@ -502,7 +601,10 @@ def safe_random_tree(
             return Var()
         if r < 0.25:
             return rng.choice((Lit(0.0, 0.0), Lit(1.0, 0.0), Lit(0.0, 1.0)))
-        return Lit(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0))
+        return Lit(
+            rng.uniform(-_DRAW_BOUND, _DRAW_BOUND),
+            rng.uniform(-_DRAW_BOUND, _DRAW_BOUND),
+        )
 
     def build(depth: int) -> Node:
         if depth <= 0 or rng.random() < 0.2:

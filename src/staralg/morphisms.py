@@ -127,7 +127,7 @@ def kernel_membership(h: HomomorphismHandle, x: Any) -> bool:
     return h.target.norm(h.map(x)).preimage <= 1e-9
 
 
-def _default_kernel_sampler(h: HomomorphismHandle):
+def _kernel_sampler(h: HomomorphismHandle):
     """Kernel elements as x minus (phi x) times the unit.
 
     Needs a unital source and a scalar-valued map that fixes the unit
@@ -162,10 +162,10 @@ def kernel_image_closure_check(
     pushforwards; image-mul and image-star are the laws that
     homomorphism_check and star_homomorphism_check run). Residuals for
     kernel laws are the norms of mapped elements that should vanish;
-    kernel elements come from ``_default_kernel_sampler``.
+    kernel elements come from ``_kernel_sampler``.
     """
     src, tgt, phi = h.source, h.target, h.map
-    sample_k = _default_kernel_sampler(h)
+    sample_k = _kernel_sampler(h)
     starred = src.involution is not None and tgt.involution is not None
     notes = () if starred else ("kernel star-closure skipped: no involution",)
 

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
-from .errors import PairMismatchError, StarDivisionError, UnboundVariableError
-from .expr import Lit, Node, eval_classical, fold
+from .errors import PairMismatchError, StarDivisionError
+from .expr import _DRAW_BOUND, Node, eval_classical, read_at
 from .generators import GeneratorPair, guard
 from .star_real import StarReal, from_preimage, preimage_close
 
@@ -76,10 +76,6 @@ def from_preimages(pair: GeneratorPair, x: float, y: float) -> StarComplex:
 def from_classical(pair: GeneratorPair, w: complex) -> StarComplex:
     """Image of an ordinary complex number under the pair."""
     return StarComplex(pair, pair.check(complex(w.real, w.imag)))
-
-
-# the default bound on drawn preimage components, shared by the samplers
-_DRAW_BOUND = 3.0
 
 
 def random_point(
@@ -206,9 +202,12 @@ def dual_mode_eval(
     """Evaluate a tree over the pair by one of two routes.
 
     "direct" is complex arithmetic on preimages with the pair's guard
-    after every step: it folds the field operations node by node on raw
+    after every step: it reads the tree with the field operations on raw
     preimages and builds one point at the end. "pullback" evaluates the
-    whole tree classically on preimages and guards only the result.
+    whole tree classically on preimages and guards only the result. With
+    z bound, both routes call the tree's compiled reading (``read_at``),
+    which is built once and kept while one route reads one tree over one
+    pair.
     The two must agree to about 1e-9 on preimages; keeping both routes
     alive is the point, so they are never collapsed into one. A bound
     point over another pair raises PairMismatchError on either route,
@@ -221,14 +220,12 @@ def dual_mode_eval(
     if mode == "pullback":
         zc = z.as_complex if z is not None else None
         return from_classical(pair, eval_classical(tree, zc))
-    ops, check = _direct_ops(pair), pair.check
-
-    def leaf(n: Node) -> complex:
-        if isinstance(n, Lit):
-            return check(complex(n.a, n.b))
-        if z is None:
-            raise UnboundVariableError("z is not bound in this context")
-        # the bound point is taken as given; what is made from it is guarded
-        return z.value
-
-    return StarComplex(pair, fold(tree, leaf, ops))
+    check = pair.check
+    # the bound point is taken as given; what is made from it is guarded
+    value = read_at(
+        tree,
+        lambda n: check(complex(n.a, n.b)),
+        _direct_ops(pair),
+        z.value if z is not None else None,
+    )
+    return StarComplex(pair, value)

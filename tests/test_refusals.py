@@ -44,7 +44,7 @@ from staralg import (
 )
 from staralg.axiom_harness import _render
 from staralg.cli import main
-from staralg.morphisms import _default_kernel_sampler
+from staralg.morphisms import _kernel_sampler
 
 IE = pair_of("identity", "exp")
 
@@ -192,10 +192,10 @@ def test_default_kernel_sampler_refusals():
     dom = make_disk_domain(IE, 1, 4)
     h = evaluation_functional(dom, from_preimages(IE, 0.0, 0.0))
     with pytest.raises(MissingUnitError, match="unital source"):
-        _default_kernel_sampler(replace(h, source=_no_unit(h.source)))
+        _kernel_sampler(replace(h, source=_no_unit(h.source)))
     ident = HomomorphismHandle(grid_algebra(dom), grid_algebra(dom), lambda f: f)
     with pytest.raises(ValueError, match="non-scalar target"):
-        _default_kernel_sampler(ident)
+        _kernel_sampler(ident)
     with pytest.raises(ValueError, match="non-scalar target"):
         kernel_image_closure_check(ident, trials=1)
 
