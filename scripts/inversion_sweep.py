@@ -51,7 +51,7 @@ def main() -> int:
             est = max(1, math.ceil(math.log(args.tol) / math.log(d)))
             print(
                 f"  {d:9.2f} {rep.terms_used:6d} {est:9d}"
-                f" {max(rep.residual.preimage, rep.residual_reversed.preimage):10.2e}"
+                f" {rep.to_json_dict()['residual_preimage']:10.2e}"
             )
         # one step past the ball boundary for contrast
         x = A.sub(A.unit, from_preimages(pair, 1.05, 0.0))

@@ -405,6 +405,15 @@ def fn_involution(f: GridFunction) -> GridFunction:
     return _pointwise(complex.conjugate, f)
 
 
+def _commutes(A: Algebra) -> bool:
+    """Does A's product commute bit for bit? Yes for the classical complex
+    product on preimages, alone (``c_mul``) or pointwise on a grid
+    (``fn_mul``), decided by identity, so a record whose ``mul`` was
+    replaced does not inherit it. ``poly_mul`` sums its convolution in
+    another order once its operands are swapped, so it is not listed."""
+    return A.mul is c_mul or A.mul is fn_mul
+
+
 def _max_modulus(zs: Iterable[complex]) -> float:
     return max(math.hypot(w.real, w.imag) for w in zs)
 

@@ -77,7 +77,8 @@ _MAX_GRID_POINTS = 4096
 # caps that keep each argv to about 10 s on a 2-core x86-64 VM for the
 # worst suite and pair measured: vector-space on the scalar carrier at
 # about 235 us a trial, normed-algebra on the grid at about 35 us a trial
-# and point, and about 22 us a Neumann term
+# and point; a Neumann term takes about 3 us, so 400,000 terms take about
+# 1.2 s (the terms cap was set when a term took about 22 us)
 _MAX_TRIALS = 40_000
 _MAX_TRIAL_POINTS = 250_000
 _MAX_TERMS = 400_000

@@ -4,7 +4,9 @@ Inverses come from the geometric series: near the unit directly, near an
 already-inverted element by a preconditioned series. Convergence is
 monitored through the two one-sided residuals (how far x times the
 partial sum is from the unit, both ways), not through term sizes, so the
-reported residual is the thing that actually matters.
+reported residual is the thing that actually matters. Where the product
+commutes bit for bit (scalars and grids), the reversed residual is the
+same number, measured once.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from .algebra import Algebra
+from .algebra import Algebra, _commutes
 from .errors import BadInverseError, MissingUnitError, NotApplicableError
 from .star_real import StarReal, from_preimage
 
@@ -30,8 +32,10 @@ class InversionReport:
     """Outcome of a series inversion.
 
     ``residual`` is the norm of (x times inverse minus unit);
-    ``residual_reversed`` the other order. ``terms_used`` counts the
-    partial-sum terms folded in, the leading unit included.
+    ``residual_reversed`` the other order, which is the same number, and
+    measured once, where the product commutes bit for bit.
+    ``terms_used`` counts the partial-sum terms folded in, the leading
+    unit included.
     """
 
     inverse: Any
@@ -51,8 +55,12 @@ class InversionReport:
 
 
 def _residuals(A: Algebra, x: Any, candidate: Any) -> tuple[float, float]:
-    """Distances of x times candidate, both ways, from the unit."""
+    """Distances of x times candidate, both ways, from the unit. Where
+    the product commutes bit for bit, candidate times x is the same
+    element, so the one distance is returned for both."""
     right = A.distance(A.mul(x, candidate), A.unit)
+    if _commutes(A):
+        return right, right
     left = A.distance(A.mul(candidate, x), A.unit)
     return right, left
 
