@@ -744,23 +744,32 @@ def polynomial_subset(dom: GridDomain) -> SubsetSpec:
     """Grid restrictions of polynomials of degree at most 4.
 
     Membership is decided by a least-squares fit of degree 4 on the grid
-    points: members leave residuals at rounding scale (at most 1e-7, or
-    the check's tolerance if larger), generic functions on 10+ points do
-    not. Sampled members have degree at most 2 so that products stay
-    within the fit degree.
+    points: the projection onto an orthonormal basis of the restrictions
+    of 1, z, ..., z**4, built once by Gram-Schmidt run twice. Members
+    leave residuals at rounding scale (at most 1e-7, or the check's
+    tolerance if larger), generic functions on 10+ points do not.
+    Sampled members have degree at most 2 so that products stay within
+    the fit degree.
     """
-    import numpy as np  # only this probe needs it; importing staralg stays light
-
-    pts = np.array(dom.preimages)
-    vander = np.vander(pts, N=5, increasing=True)
     if len(dom.points) <= 5:
         raise ValueError("grid too small to separate polynomials from the rest")
 
+    def project_out(basis: list[list[complex]], v: list[complex]) -> list[complex]:
+        for q in basis:
+            c = sum(qi.conjugate() * vi for qi, vi in zip(q, v))
+            v = [vi - c * qi for qi, vi in zip(q, v)]
+        return v
+
+    basis: list[list[complex]] = []
+    for k in range(5):
+        # the second pass restores the orthogonality the first loses to rounding
+        v = project_out(basis, project_out(basis, [z**k for z in dom.preimages]))
+        norm = math.hypot(*map(abs, v))
+        basis.append([vi / norm for vi in v])
+
     def contains(f: GridFunction, tol: float) -> bool:
-        vals = np.array(f.preimages)
-        coef, *_ = np.linalg.lstsq(vander, vals, rcond=None)
-        residual = float(np.max(np.abs(vander @ coef - vals)))
-        return residual <= max(1e-7, tol)
+        bound = max(1e-7, tol)
+        return all(abs(r) <= bound for r in project_out(basis, list(f.preimages)))
 
     def sample_member(rng: random.Random) -> GridFunction:
         deg = rng.randint(0, 2)

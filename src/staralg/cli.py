@@ -62,7 +62,6 @@ from .star_complex import (
     c_div,
     c_norm,
     dual_mode_eval,
-    from_preimages,
     one,
 )
 
@@ -341,8 +340,9 @@ def _cmd_quotient(args: argparse.Namespace, pair) -> int:
     if not isinstance(at_tree, Lit):
         raise ParseError("--at must be a literal pair like (a, b)", 0)
     dom, f = _grid_values(args, pair)
-    at = from_preimages(pair, at_tree.a, at_tree.b)
-    ideal = EvaluationIdeal(dom, at)
+    # unguarded: the point is only looked up, and every grid point passes
+    # every guard, so an off-grid literal is a usage error, not a refusal
+    ideal = EvaluationIdeal(dom, StarComplex(pair, complex(at_tree.a, at_tree.b)))
     coset = quotient_map(f, ideal)
     member = ideal_membership(ideal, f, tol=args.tol)
     doc = _doc(

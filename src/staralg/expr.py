@@ -580,15 +580,16 @@ def random_tree(
     )
 
 
+# the modulus every subtree of a safe random tree keeps at z = 0
+_SAFE_BOUND = 50.0
+
+
 def safe_random_tree(
-    rng: random.Random,
-    max_depth: int,
-    allow_z: bool = False,
-    bound: float = 50.0,
+    rng: random.Random, max_depth: int, allow_z: bool = False
 ) -> Node:
     """A random tree whose every subtree stays classically representable.
 
-    Each subtree's classical value at z = 0 is kept within ``bound`` in
+    Each subtree's classical value at z = 0 is kept within 50 in
     modulus and denominators are kept at least 0.1 away from zero, so the
     tree evaluates without overflow on every built-in generator pair
     (images of preimages up to ~50 are safe even under exp). Rejection
@@ -617,7 +618,7 @@ def safe_random_tree(
             if op == "div" and abs(eval_classical(right, 0j)) < 0.1:
                 continue
             node = Binary(op, left, right)
-            if abs(eval_classical(node, 0j)) <= bound:
+            if abs(eval_classical(node, 0j)) <= _SAFE_BOUND:
                 return node
         return leaf()
 

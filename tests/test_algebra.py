@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 
@@ -238,6 +239,31 @@ def test_polynomial_subset_closed():
         A, polynomial_subset(dom), trials=120, seed=4
     )
     assert report.passed, report.counterexample
+
+
+@pytest.mark.parametrize("radial, angular", [(2, 8), (4, 16)])
+def test_polynomial_subset_separates_members_from_the_rest(pair, radial, angular):
+    dom = make_disk_domain(pair, radial, angular)
+    contains = polynomial_subset(dom).contains
+    rng = random.Random(radial * angular)
+
+    def draw(deg=4, lead=0.0, noise=0.0):
+        coef = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(deg + 1)]
+        if lead:
+            coef[deg] = cmath.rect(lead, rng.uniform(0, 2 * math.pi))
+        return GridFunction.of_preimages(dom, tuple(
+            sum(c * z**k for k, c in enumerate(coef))
+            + noise * complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+            for z in dom.preimages
+        ))
+
+    for _ in range(50):
+        assert contains(draw(rng.randint(0, 4)), 1e-9)
+        assert contains(draw(noise=1e-9), 1e-9)
+        assert not contains(draw(5, lead=rng.uniform(0.5, 1.0)), 1e-9)
+        assert not contains(draw(noise=1e-5), 1e-9)
+        generic = tuple(complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in dom.preimages)
+        assert not contains(GridFunction.of_preimages(dom, generic), 1e-9)
 
 
 def test_ideal_subset_closed():

@@ -247,6 +247,16 @@ def test_exit_2_on_off_grid_quotient_point():
     assert "not on the grid" in err
 
 
+@pytest.mark.parametrize("alpha, at", [("exp", "(800,0)"), ("cube", "(1e103,0)")])
+def test_exit_2_on_a_base_point_outside_the_working_domain(alpha, at):
+    # the base point is only looked up on the grid, so a literal the pair
+    # cannot represent is off the grid like any other, not a refusal
+    code, out, err = run(["quotient", "z", "--alpha", alpha, "--at", at])
+    assert (code, out) == (2, "")
+    assert _one_error_line(err)
+    assert "is not on the grid" in err
+
+
 def _one_error_line(err):
     return (
         sum("error:" in line for line in err.splitlines()) == 1
@@ -397,10 +407,26 @@ def test_parser_lists_all_subcommands():
 
 
 def test_eval_does_not_import_numpy():
+    # numpy is blocked in the fresh interpreter, so every subcommand and the
+    # polynomial-subset probe must run on the standard library alone
     code = (
-        "import sys, staralg\n"
-        "from staralg import cli\n"
-        "assert cli.main(['eval', '(1,2)']) == 0\n"
+        "import contextlib, io, sys\n"
+        "class Block:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name == 'numpy' or name.startswith('numpy.'):\n"
+        "            raise ImportError('numpy is blocked')\n"
+        "sys.meta_path.insert(0, Block())\n"
+        "import staralg\n"
+        "from staralg import cli, grid_algebra, make_disk_domain, pair_of\n"
+        "from staralg import polynomial_subset, subalgebra_closure_check\n"
+        "for argv in (['eval', '(1,2)'], ['invert', '(0.6,0.1)'], ['grid', 'z'],\n"
+        "             ['quotient', 'z', '--at', '(0.5,0)'],\n"
+        "             ['axioms', '--suite', 'field', '--trials', '2']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv) == 0, argv\n"
+        "dom = make_disk_domain(pair_of('identity', 'identity'), 2, 8)\n"
+        "rep = subalgebra_closure_check(grid_algebra(dom), polynomial_subset(dom), trials=5)\n"
+        "assert rep.passed, rep.counterexample\n"
         "print('numpy' in sys.modules)\n"
     )
     proc = _python("-c", code)

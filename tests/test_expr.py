@@ -121,7 +121,7 @@ def test_round_trip_on_random_trees():
 def test_safe_trees_evaluate_within_bounds():
     rng = random.Random(7)
     for _ in range(300):
-        t = safe_random_tree(rng, max_depth=6, bound=50.0)
+        t = safe_random_tree(rng, max_depth=6)
         v = eval_classical(t)
         assert abs(v) <= 50.0 + 1e-9
 

@@ -35,6 +35,7 @@ RETIRED_PARAMETERS = [
     ("classify_element", "tol"),
     ("safe_random_tree", "z_value"),
     ("safe_random_tree", "min_denom"),
+    ("safe_random_tree", "bound"),
     ("approx_eq", "abs_tol"),
     ("kernel_membership", "tol"),
     ("kernel_image_closure_check", "kernel_sampler"),
