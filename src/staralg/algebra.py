@@ -137,8 +137,11 @@ def _same(x: GridDomain, y: GridDomain, what: str) -> None:
 
 def _draw(rng: random.Random, n: int, b: float) -> tuple[complex, ...]:
     """n complex preimages, both parts uniform in [-b, b], drawn in the
-    order random_point draws them."""
-    return tuple(complex(rng.uniform(-b, b), rng.uniform(-b, b)) for _ in range(n))
+    order random_point draws them, with ``uniform`` written out as
+    random_point writes it."""
+    r = rng.random
+    w = b + b
+    return tuple(complex(-b + w * r(), -b + w * r()) for _ in range(n))
 
 
 def _describe(x: GridFunction | StarPolynomial) -> list[list[float]]:

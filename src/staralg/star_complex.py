@@ -7,6 +7,11 @@ pair's one point guard (``GeneratorPair.check``) on the result. The
 field behaves exactly like the complex numbers seen through the two
 generators, which is what the dual-route evaluator checks on every
 expression.
+
+StarComplex is a frozen slotted dataclass, built, like StarReal, by
+setting its two slots through their member descriptors; equality,
+hashing, ``repr`` and immutability are the dataclass's own. Random
+points draw each part as ``rng.uniform`` does, written out.
 """
 
 from __future__ import annotations
@@ -41,14 +46,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class StarComplex:
     """A point of the field: the pair and the classical complex number of
     its preimages (alpha preimage as the real part, beta preimage as the
-    imaginary part). ``from_preimages`` builds guarded points."""
+    imaginary part). ``from_preimages`` builds guarded points; the
+    constructor takes the value as given."""
 
     pair: GeneratorPair
     value: complex
+
+    def __init__(self, pair: GeneratorPair, value: complex):
+        _set_pair(self, pair)
+        _set_value(self, value)
 
     @property
     def a(self) -> StarReal:
@@ -68,6 +78,11 @@ class StarComplex:
         return self.value
 
 
+# the slots' own member descriptors, as in star_real
+_set_pair = StarComplex.__dict__["pair"].__set__
+_set_value = StarComplex.__dict__["value"].__set__
+
+
 def from_preimages(pair: GeneratorPair, x: float, y: float) -> StarComplex:
     """The point whose coordinates have preimages (x, y)."""
     return StarComplex(pair, pair.check(complex(x, y)))
@@ -81,10 +96,13 @@ def from_classical(pair: GeneratorPair, w: complex) -> StarComplex:
 def random_point(
     rng: random.Random, pair: GeneratorPair, bound: float = _DRAW_BOUND
 ) -> StarComplex:
-    """A point with both preimages drawn uniformly from [-bound, bound]."""
-    return from_preimages(
-        pair, rng.uniform(-bound, bound), rng.uniform(-bound, bound)
-    )
+    """A point with both preimages drawn uniformly from [-bound, bound].
+
+    Each part is ``rng.uniform(-bound, bound)`` written out, as CPython
+    computes it, so the draws and the generator's state are the same."""
+    r = rng.random
+    w = bound + bound
+    return from_preimages(pair, -bound + w * r(), -bound + w * r())
 
 
 def _same_pair(p: GeneratorPair, q: GeneratorPair) -> None:

@@ -3,7 +3,13 @@
 A StarReal stores its generator and its preimage. Every operation is
 classical arithmetic on preimages, and its result passes the
 generator's guard once, so a value that exists always has a
-representable image. The image itself is computed only when it is read.
+representable image; a value built from an image passes the same guard.
+The image itself is computed only when it is read.
+
+StarReal is a frozen slotted dataclass. Its values are built by setting
+the two slots through their member descriptors, which skips the frozen
+``__setattr__``; equality, hashing, ``repr`` and immutability are the
+dataclass's own.
 """
 
 from __future__ import annotations
@@ -42,7 +48,8 @@ class StarReal:
     """A value on a generator's line, stored as its preimage.
 
     ``StarReal(gen, image)`` builds the value from an image: the image is
-    checked against the image interval and inverted once. Arithmetic
+    checked against the image interval, inverted once, and its preimage
+    passes the generator's guard, as ``from_preimage``'s does. Arithmetic
     builds its results with ``from_preimage`` and never inverts.
     """
 
@@ -50,21 +57,27 @@ class StarReal:
     preimage: float
 
     def __init__(self, gen: Generator, image: float):
-        self._set(gen, apply_inverse(gen, image))
-
-    def _set(self, gen: Generator, t: float) -> StarReal:
-        object.__setattr__(self, "gen", gen)
-        object.__setattr__(self, "preimage", t)
-        return self
+        _set_gen(self, gen)
+        _set_preimage(self, guard(gen, apply_inverse(gen, image)))
 
     @property
     def image(self) -> float:
         return self.gen.forward(self.preimage)
 
 
+# the slots' own member descriptors: setting through them skips the
+# frozen dataclass's __setattr__, which refuses every assignment
+_set_gen = StarReal.__dict__["gen"].__set__
+_set_preimage = StarReal.__dict__["preimage"].__set__
+_new = object.__new__
+
+
 def from_preimage(g: Generator, t: float) -> StarReal:
     """The line's value whose preimage is t."""
-    return object.__new__(StarReal)._set(g, guard(g, t))
+    v = _new(StarReal)
+    _set_gen(v, g)
+    _set_preimage(v, guard(g, t))
+    return v
 
 
 def one_of(g: Generator) -> StarReal:

@@ -41,3 +41,13 @@ def test_inversion_sweep_reports_every_pair():
     assert sum(line.startswith("== pair") for line in lines) == 4
     assert lines.count("       1.05 rejected (outside the ball, as required)") == 4
     assert "unexpectedly accepted" not in proc.stdout
+
+
+def test_profile_workload_lists_the_trial_runner():
+    proc = _run_script(
+        "profile_workload.py", "--workload", "audit", "--seed", "5",
+        "--rounds", "1", "--top", "40",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("audit seed 5: 1 rounds, by self time")
+    assert "(_run_trials)" in proc.stdout
