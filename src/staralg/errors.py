@@ -37,6 +37,10 @@ class StarDivisionError(StarError):
     """Division by an additive zero."""
 
 
+class StarUnderflowError(StarError):
+    """A nonzero quotient rounds to the additive zero."""
+
+
 class NegativeSqrtError(StarError):
     """Square root of a value below the additive zero (beyond rounding debris)."""
 

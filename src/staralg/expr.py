@@ -20,6 +20,13 @@ reading that recurses, the compiled one below.
 literal exactly when an optionally signed number followed by a comma
 comes next; otherwise it groups a subexpression.
 
+``parse_expr`` reads a well-formed ASCII text in one regex scan, a whole
+literal ``(a, b)`` as one token, and builds the tree by a recursive
+descent over that token list. Any other input (text beyond ASCII, whose
+digits and spaces only ``str`` knows, or any text with an error) goes
+to the token parser, which owns every error: a refused text raises its
+ParseError, message and offset, and a read one gives the same tree.
+
 This module knows nothing about generators: trees are pure data.
 ``fold`` is the one walk over a tree, iterative and in post-order; each
 reading of a tree is a leaf function plus a table of ops over it. The
@@ -41,6 +48,7 @@ from __future__ import annotations
 import math
 import operator
 import random
+import re
 from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple, Union
 
@@ -314,8 +322,128 @@ class _Parser:
         raise ParseError(f"expected a factor, got {got}", t.offset)
 
 
+# ---------------------------------------------------------------------------
+# the fast path: a well-formed ASCII text in one scan
+
+_NUM = r"[0-9.]+(?:[eE][+-]?[0-9]+)?"
+# one token and the whitespace around it: a whole literal (groups 1-4:
+# sign, number, sign, number), a symbol (5), a number (6) or a name (7).
+# On ASCII text these are the tokenizer's classes, \s included.
+_TOKEN = re.compile(
+    rf"\s*(?:\(\s*([+-]?)\s*({_NUM})\s*,\s*([+-]?)\s*({_NUM})\s*\)"
+    rf"|([()+\-*/])|({_NUM})|([A-Za-z_][A-Za-z0-9_]*))\s*"
+)
+
+
+class _Slow(Exception):
+    """The text is not for the fast path: the token parser reads it."""
+
+
+def _scan(src: str) -> list[Any]:
+    """The text as a flat token list ending in "": a leaf as its node, a
+    symbol or ``conj``/``norm`` as its text. _Slow on any text the token
+    parser would refuse here; ValueError on a bad number."""
+    toks: list[Any] = []
+    match, pos, n = _TOKEN.match, 0, len(src)
+    while pos < n:
+        m = match(src, pos)
+        if m is None:
+            raise _Slow
+        pos = m.end()
+        kind = m.lastindex
+        if kind == 4:
+            a, b = float(m[2]), float(m[4])
+            if not (math.isfinite(a) and math.isfinite(b)):
+                raise _Slow
+            toks.append(Lit(-a if m[1] == "-" else a, -b if m[3] == "-" else b))
+        elif kind == 5:
+            toks.append(m[5])
+        else:
+            t = m[kind]
+            if t == "z":
+                toks.append(Var())
+            elif t == "i":
+                toks.append(Lit(0.0, 1.0))
+            elif t == "1":
+                toks.append(Lit(1.0, 0.0))
+            elif t == "0":
+                toks.append(Lit(0.0, 0.0))
+            elif t == "conj" or t == "norm":
+                toks.append(t)
+            else:  # a bare number or an unknown name
+                raise _Slow
+    toks.append("")
+    return toks
+
+
+def _read(src: str) -> Node:
+    """The tree of a well-formed ASCII text, by recursive descent over
+    ``_scan``'s tokens with both nesting limits; _Slow (or ValueError)
+    where the token parser would raise. A nesting level costs at most
+    two frames here, against the token parser's four."""
+    toks = _scan(src)
+    pos = 0
+
+    def expr(nest: int) -> tuple[Node, int]:
+        # terms joined by + and -, each term factors joined by * and /,
+        # both left-associative; returns the subtree and its depth in
+        # operator nodes
+        nonlocal pos
+        left = None
+        while True:
+            node, d = factor(nest + 1)
+            while (t := toks[pos]) == "*" or t == "/":
+                pos += 1
+                right, rd = factor(nest + 1)
+                node, d = Binary(_SYM_OPS[t], node, right), 1 + max(d, rd)
+            if left is not None:
+                node, d = Binary(op, left, node), 1 + max(ld, d)
+            if t != "+" and t != "-":
+                return node, d
+            pos += 1
+            op, left, ld = _SYM_OPS[t], node, d
+
+    def factor(nest: int) -> tuple[Node, int]:
+        nonlocal pos
+        if nest > MAX_NESTING:
+            raise _Slow
+        t = toks[pos]
+        pos += 1
+        if t.__class__ is not str:
+            return t, 0
+        if t == "(":
+            node, d = expr(nest)
+        elif t == "-":
+            child, d = factor(nest + 1)
+            return Unary("neg", child), d + 1
+        elif t in ("conj", "norm") and toks[pos] == "(":
+            pos += 1
+            child, d = expr(nest)
+            node, d = Unary(t, child), d + 1
+        else:
+            raise _Slow
+        if toks[pos] != ")":
+            raise _Slow
+        pos += 1
+        return node, d
+
+    node, depth = expr(0)
+    # the tree's depth bounds that of every subtree
+    if pos != len(toks) - 1 or depth > MAX_NESTING:
+        raise _Slow
+    return node
+
+
 def parse_expr(src: str) -> Node:
-    """Parse the grammar above into a tree; raises ParseError with offset."""
+    """Parse the grammar above into a tree; raises ParseError with offset.
+
+    A well-formed ASCII text is read in one scan; any other text goes to
+    the token parser, which owns every error."""
+    if src.isascii():
+        try:
+            return _read(src)
+        except (_Slow, ValueError):
+            pass
     return _Parser(src).parse()
 
 

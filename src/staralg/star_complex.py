@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
-from .errors import PairMismatchError, StarDivisionError
+from .errors import PairMismatchError, StarDivisionError, StarUnderflowError
 from .expr import _DRAW_BOUND, Node, eval_classical, read_at
 from .generators import GeneratorPair, guard
 from .star_real import StarReal, from_preimage, preimage_close
@@ -136,17 +136,22 @@ def c_mul(z: StarComplex, w: StarComplex) -> StarComplex:
 
 def _quotient(v: complex, w: complex) -> complex:
     """v / w on raw preimages, unguarded; dividing by the additive zero
-    raises StarDivisionError. Python's complex division is scaled
-    (Smith's method), so no intermediate square overflows or underflows
-    at extreme magnitudes."""
+    raises StarDivisionError, and a quotient of a nonzero v by a finite w
+    that rounds to zero raises StarUnderflowError. Python's complex
+    division is scaled (Smith's method), so no intermediate square
+    overflows or underflows at extreme magnitudes."""
     try:
-        return v / w
+        q = v / w
     except ZeroDivisionError:
         raise StarDivisionError("division by the field's additive zero") from None
+    if not q and v and math.isfinite(w.real) and math.isfinite(w.imag):
+        raise StarUnderflowError("the quotient of a nonzero point underflows to zero")
+    return q
 
 
 def c_div(z: StarComplex, w: StarComplex) -> StarComplex:
-    """Quotient; dividing by the additive zero raises StarDivisionError
+    """Quotient; dividing by the additive zero raises StarDivisionError,
+    and a nonzero quotient that rounds to zero raises StarUnderflowError
     (see ``_quotient``)."""
     _same_pair(z.pair, w.pair)
     return StarComplex(z.pair, z.pair.check(_quotient(z.value, w.value)))

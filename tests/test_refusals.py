@@ -17,10 +17,13 @@ from staralg import (
     HomomorphismHandle,
     MissingInvolutionError,
     MissingUnitError,
+    StarComplex,
     StarPolynomial,
+    StarUnderflowError,
     arith,
     broken_involution,
     broken_zero,
+    c_div,
     classify_element,
     eval_classical,
     evaluation_functional,
@@ -41,6 +44,7 @@ from staralg import (
     scalar_algebra,
     series_sum,
     unital_functional_check,
+    zero,
 )
 from staralg.axiom_harness import _render
 from staralg.cli import main
@@ -112,6 +116,31 @@ def test_pullback_norm_overflow_is_one_error_line(argv):
     assert err.startswith("error: identity: preimage inf outside the working domain")
     assert err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("mode", ["direct", "pullback"])
+def test_an_underflowing_quotient_is_one_error_line(mode):
+    # eval reads the tree by both routes; the direct route refuses a
+    # quotient of nonzero points that rounds to zero
+    code, out, err = run(["eval", "--mode", mode, "(1e-320,0)/(1e308,1e308)"])
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: the quotient of a nonzero point underflows to zero"
+        " in subterm (1e-320,0.0)/(1e+308,1e+308)\n"
+    )
+
+
+def test_c_div_refuses_an_underflowing_quotient_but_not_division_by_infinity():
+    pair = pair_of("identity", "identity")
+    with pytest.raises(StarUnderflowError):
+        c_div(from_preimages(pair, 1e-320, 0.0), from_preimages(pair, 1e308, 1e308))
+    # a zero numerator, and a quotient by an unguarded infinite point,
+    # are zero without underflow
+    assert c_div(zero(pair), from_preimages(pair, 1e308, 1e308)).value == 0
+    assert c_div(one(pair), StarComplex(pair, complex(math.inf, 0.0))).value == 0
+    # a subnormal quotient is not zero, and passes
+    tiny = c_div(from_preimages(pair, 1e-300, 0.0), from_preimages(pair, 1e10, 0.0))
+    assert tiny.value == 1e-310
 
 
 # --- empty carriers and undersized probes ------------------------------------
