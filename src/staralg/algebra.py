@@ -89,10 +89,14 @@ class Algebra:
 
     ``sub`` is the carrier's native difference; like ``add(x, neg(y))``
     it refuses a ``y`` over another pair than the carrier's.
-    ``fused_distance`` pairs a norm with a distance fused from it and
-    ``sub``; ``distance`` takes it only while ``norm`` is that norm, by
-    identity, so a record made by ``replace(A, norm=...)`` measures
-    through its own norm.
+    ``measure(x)`` reads ``norm(x).preimage`` and ``distance(x, y)``
+    reads ``norm(sub(x, y)).preimage``, both as preimage-scale floats.
+    ``fused_norm`` pairs a norm with a float reading fused from it, and
+    ``fused_distance`` a norm with a distance fused from it and ``sub``.
+    Each is taken only while ``norm`` is the norm it was fused from, by
+    identity, and that is decided once per record, in ``__post_init__``;
+    ``dataclasses.replace`` reruns it, so a record made by
+    ``replace(A, norm=...)`` measures through its own norm.
     """
 
     name: str
@@ -108,6 +112,27 @@ class Algebra:
     sample: Callable[[random.Random], Any]
     describe: Callable[[Any], Any]
     fused_distance: tuple[Callable, Callable[[Any, Any], float]] | None = None
+    fused_norm: tuple[Callable, Callable[[Any], float]] | None = None
+    measure: Callable[[Any], float] = field(init=False, repr=False, compare=False)
+    distance: Callable[[Any, Any], float] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self):
+        norm, sub = self.norm, self.sub
+
+        def measure(x: Any) -> float:
+            return norm(x).preimage
+
+        def distance(x: Any, y: Any) -> float:
+            return norm(sub(x, y)).preimage
+
+        for name, fused, own in (
+            ("measure", self.fused_norm, measure),
+            ("distance", self.fused_distance, distance),
+        ):
+            take = fused is not None and fused[0] is norm
+            object.__setattr__(self, name, fused[1] if take else own)
 
     def neg(self, x: Any) -> Any:
         return self.scalar_mul(from_preimages(self.pair, -1.0, 0.0), x)
@@ -116,14 +141,6 @@ class Algebra:
         if self.involution is None:
             raise MissingInvolutionError(f"{self.name}: no involution")
         return self.involution(x)
-
-    def distance(self, x: Any, y: Any) -> float:
-        """Norm of the difference, as a preimage-scale float."""
-        if self.fused_distance is not None:
-            norm, fused = self.fused_distance
-            if norm is self.norm:
-                return fused(x, y)
-        return self.norm(self.sub(x, y)).preimage
 
     def __repr__(self) -> str:
         return f"Algebra({self.name}, pair={self.pair.names})"
@@ -151,6 +168,11 @@ def _describe(x: GridFunction | StarPolynomial) -> list[list[float]]:
 
 # ---------------------------------------------------------------------------
 # the scalar field as a one-dimensional carrier
+
+
+def _modulus(z: StarComplex) -> float:
+    """c_norm(z).preimage, without building the beta-line value."""
+    return guard(z.pair.beta, math.hypot(z.value.real, z.value.imag))
 
 
 def scalar_algebra(pair: GeneratorPair) -> Algebra:
@@ -184,6 +206,7 @@ def scalar_algebra(pair: GeneratorPair) -> Algebra:
         sample=sample,
         describe=lambda v: list(v.preimages),
         fused_distance=(c_norm, distance),
+        fused_norm=(c_norm, _modulus),
     )
 
 
@@ -429,6 +452,11 @@ def sup_norm(f: GridFunction) -> StarReal:
     return from_preimage(f.domain.pair.beta, _max_modulus(f.preimages))
 
 
+def _sup_modulus(f: GridFunction) -> float:
+    """sup_norm(f).preimage, without building the beta-line value."""
+    return guard(f.domain.pair.beta, _max_modulus(f.preimages))
+
+
 def grid_algebra(dom: GridDomain) -> Algebra:
     """Functions on a finite grid with pointwise operations and sup norm."""
     pair = dom.pair
@@ -462,6 +490,7 @@ def grid_algebra(dom: GridDomain) -> Algebra:
         sample=sample,
         describe=_describe,
         fused_distance=(sup_norm, distance),
+        fused_norm=(sup_norm, _sup_modulus),
     )
 
 
@@ -723,7 +752,7 @@ def norm_ball_subset(dom: GridDomain) -> SubsetSpec:
     useful as a deliberate closure-check failure."""
 
     def contains(f: GridFunction, tol: float) -> bool:
-        return sup_norm(f).preimage <= 1.0 + tol
+        return _sup_modulus(f) <= 1.0 + tol
 
     def sample_member(rng: random.Random) -> GridFunction:
         target = rng.uniform(0.5, 1.0)

@@ -82,7 +82,7 @@ _NONZERO_ATTEMPTS = 64
 def _sample_away_from_zero(A: Algebra, rng: random.Random):
     for _ in range(_NONZERO_ATTEMPTS):
         x = A.sample(rng)
-        if A.norm(x).preimage >= _NONZERO_FLOOR:
+        if A.measure(x) >= _NONZERO_FLOOR:
             return x
     return None
 
@@ -137,7 +137,7 @@ def _scaled(gap: float, *magnitudes: float) -> float:
 
 
 def _rel_dist(A: Algebra, u: Any, v: Any) -> float:
-    return _scaled(A.distance(u, v), A.norm(u).preimage, A.norm(v).preimage)
+    return _scaled(A.distance(u, v), A.measure(u), A.measure(v))
 
 
 def _num_gap(n1: float, n2: float) -> float:
@@ -261,35 +261,35 @@ def _law_scalar_slides(A, rng, tol):
 
 
 def _law_zero_norm(A, rng, tol):
-    return A.norm(A.zero).preimage, {"element": "zero"}
+    return A.measure(A.zero), {"element": "zero"}
 
 
 def _law_definiteness(A, rng, tol):
     x = _sample_away_from_zero(A, rng)
     if x is None:
         return None
-    return (_VIOLATION if A.norm(x).preimage <= tol else 0.0), {"x": x}
+    return (_VIOLATION if A.measure(x) <= tol else 0.0), {"x": x}
 
 
 def _law_homogeneity(A, rng, tol):
     x = A.sample(rng)
     lam = random_point(rng, A.pair)
-    n1 = A.norm(A.scalar_mul(lam, x)).preimage
-    n2 = abs(lam.as_complex) * A.norm(x).preimage
+    n1 = A.measure(A.scalar_mul(lam, x))
+    n2 = abs(lam.as_complex) * A.measure(x)
     return _num_gap(n1, n2), {"x": x, "scalar": lam}
 
 
 def _law_triangle(A, rng, tol):
     x, y = A.sample(rng), A.sample(rng)
-    n_sum = A.norm(A.add(x, y)).preimage
-    bound = A.norm(x).preimage + A.norm(y).preimage
+    n_sum = A.measure(A.add(x, y))
+    bound = A.measure(x) + A.measure(y)
     return _scaled(max(0.0, n_sum - bound), bound), {"x": x, "y": y}
 
 
 def _law_submultiplicative(A, rng, tol):
     x, y = A.sample(rng), A.sample(rng)
-    n_prod = A.norm(A.mul(x, y)).preimage
-    bound = A.norm(x).preimage * A.norm(y).preimage
+    n_prod = A.measure(A.mul(x, y))
+    bound = A.measure(x) * A.measure(y)
     return _scaled(max(0.0, n_prod - bound), bound), {"x": x, "y": y}
 
 
@@ -322,19 +322,19 @@ def _law_star_involutive(A, rng, tol):
 
 def _law_star_isometric(A, rng, tol):
     x = A.sample(rng)
-    n1 = A.norm(A.involution(x)).preimage
-    return _num_gap(n1, A.norm(x).preimage), {"x": x}
+    n1 = A.measure(A.involution(x))
+    return _num_gap(n1, A.measure(x)), {"x": x}
 
 
 def _law_cstar_identity(A, rng, tol):
     x = A.sample(rng)
-    n1 = A.norm(A.mul(A.involution(x), x)).preimage
-    nx = A.norm(x).preimage
+    n1 = A.measure(A.mul(A.involution(x), x))
+    nx = A.measure(x)
     return _num_gap(n1, nx * nx), {"x": x}
 
 
 def _law_unit_norm(A, rng, tol):
-    return _num_gap(A.norm(A.unit).preimage, 1.0), {"element": "unit"}
+    return _num_gap(A.measure(A.unit), 1.0), {"element": "unit"}
 
 
 # ---------------------------------------------------------------------------

@@ -52,7 +52,13 @@ import re
 from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple, Union
 
-from .errors import ParseError, StarDivisionError, StarError, UnboundVariableError
+from .errors import (
+    ParseError,
+    StarDivisionError,
+    StarError,
+    StarUnderflowError,
+    UnboundVariableError,
+)
 
 __all__ = [
     "Lit",
@@ -634,10 +640,21 @@ def read_at(
 # classical interpretation (the pullback route)
 
 
+def _refuse_underflow(v: complex, w: complex) -> None:
+    """Called with a quotient v / w that came out zero: StarUnderflowError
+    when v is nonzero and w finite, since the exact quotient is then
+    nonzero. The one underflow rule, under both routes' division."""
+    if v and math.isfinite(w.real) and math.isfinite(w.imag):
+        raise StarUnderflowError("the quotient of a nonzero point underflows to zero")
+
+
 def _classical_div(left: complex, right: complex) -> complex:
     if right == 0:
         raise StarDivisionError("division by zero")
-    return left / right
+    q = left / right
+    if not q:
+        _refuse_underflow(left, right)
+    return q
 
 
 def _classical_norm(v: complex) -> complex:

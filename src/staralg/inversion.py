@@ -104,7 +104,7 @@ def neumann_inverse(
     if max_terms < 1:
         raise ValueError("max_terms must be at least 1")
     w = A.sub(A.unit, x)
-    gap = A.norm(w).preimage
+    gap = A.measure(w)
     if gap >= 1.0:
         raise NotApplicableError(
             f"norm of (unit - x) is {gap!r}, not inside the unit ball"
@@ -134,7 +134,7 @@ def perturbative_inverse(
     miss = max(_residuals(A, x0, x0_inv))
     if miss > tol:
         raise BadInverseError(f"supplied inverse misses by {miss!r}")
-    m = A.norm(x0_inv).preimage
+    m = A.measure(x0_inv)
     d = A.distance(x, x0)
     if m * d >= 1.0:
         raise NotApplicableError(
@@ -169,7 +169,7 @@ def continuity_bound_check(A: Algebra, x: Any, x0: Any, x0_inv: Any) -> Continui
     most 1/2; beyond that the bound has no content and
     NotApplicableError is raised.
     """
-    m = A.norm(x0_inv).preimage
+    m = A.measure(x0_inv)
     d = A.distance(x, x0)
     c = m * d
     if c > 0.5 + 1e-12:

@@ -30,7 +30,7 @@ from .algebra import (
 from .axiom_harness import _is_scalar_carrier, _rel_dist, _run_trials, _scaled
 from .errors import MissingInvolutionError, MissingUnitError
 from .report import AxiomReport
-from .star_complex import StarComplex, c_norm, from_preimages, random_point
+from .star_complex import StarComplex, from_preimages, random_point
 from .star_real import StarReal
 
 __all__ = [
@@ -124,7 +124,7 @@ def star_homomorphism_check(
 
 def kernel_membership(h: HomomorphismHandle, x: Any) -> bool:
     """Does x map to (numerical) zero, within 1e-9 in the target's norm?"""
-    return h.target.norm(h.map(x)).preimage <= 1e-9
+    return h.target.measure(h.map(x)) <= 1e-9
 
 
 def _kernel_sampler(h: HomomorphismHandle):
@@ -170,7 +170,7 @@ def kernel_image_closure_check(
     notes = () if starred else ("kernel star-closure skipped: no involution",)
 
     def norm_of_mapped(k) -> float:
-        return tgt.norm(phi(k)).preimage
+        return tgt.measure(phi(k))
 
     def law_kernel_sampler(rng):
         k = sample_k(rng)
@@ -238,7 +238,7 @@ def unital_functional_check(
 
     def scaled_sample(rng, target_norm: float):
         x = src.sample(rng)
-        n = src.norm(x).preimage
+        n = src.measure(x)
         if n <= 1e-12:
             return src.zero
         lam = from_preimages(src.pair, target_norm / n, 0.0)
@@ -249,13 +249,13 @@ def unital_functional_check(
         # the functional value must stay away from zero
         w = scaled_sample(rng, rng.uniform(0.0, 0.9))
         x = src.add(src.unit, w)
-        value = c_norm(phi(x)).preimage
+        value = tgt.measure(phi(x))
         return (1.0 if value <= 1e-9 else 0.0), {"x": x, "value": value}
 
     def law_contraction(rng):
         x = scaled_sample(rng, rng.uniform(0.0, 2.0))
-        nx = src.norm(x).preimage
-        nv = c_norm(phi(x)).preimage
+        nx = src.measure(x)
+        nv = tgt.measure(phi(x))
         return _scaled(max(0.0, nv - nx), nx), {"x": x}
 
     laws = [

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
-from .errors import PairMismatchError, StarDivisionError, StarUnderflowError
-from .expr import _DRAW_BOUND, Node, eval_classical, read_at
+from .errors import PairMismatchError, StarDivisionError
+from .expr import _DRAW_BOUND, Node, _refuse_underflow, eval_classical, read_at
 from .generators import GeneratorPair, guard
 from .star_real import StarReal, from_preimage, preimage_close
 
@@ -137,15 +137,21 @@ def c_mul(z: StarComplex, w: StarComplex) -> StarComplex:
 def _quotient(v: complex, w: complex) -> complex:
     """v / w on raw preimages, unguarded; dividing by the additive zero
     raises StarDivisionError, and a quotient of a nonzero v by a finite w
-    that rounds to zero raises StarUnderflowError. Python's complex
-    division is scaled (Smith's method), so no intermediate square
-    overflows or underflows at extreme magnitudes."""
+    that rounds to zero raises StarUnderflowError (``expr._refuse_underflow``,
+    the pullback route's rule too).
+
+    CPython's complex division is scaled (Smith's method), so it forms
+    no square of a part of w. Its scaled denominator, the larger part of
+    w plus the smaller times their ratio, still overflows to inf when
+    both parts are near the float maximum, and the quotient then rounds
+    to zero: ``(1, 0) / (1e308, 1e308)`` is refused as an underflow
+    although its quotient (5e-309, -5e-309) is representable."""
     try:
         q = v / w
     except ZeroDivisionError:
         raise StarDivisionError("division by the field's additive zero") from None
-    if not q and v and math.isfinite(w.real) and math.isfinite(w.imag):
-        raise StarUnderflowError("the quotient of a nonzero point underflows to zero")
+    if not q:
+        _refuse_underflow(v, w)
     return q
 
 

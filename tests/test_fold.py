@@ -2,8 +2,10 @@
 
 ``ref_to_text``, ``ref_eval_classical`` and ``ref_eval_direct`` are the
 printer and the two evaluation routes as they were written before the
-fold, kept verbatim as the reference: the fold must give the same text,
-the same values to the bit and the same errors, naming the same subterm.
+fold, kept as the reference: the fold must give the same text, the same
+values to the bit and the same errors, naming the same subterm. The
+classical walker has since gained the one rule the routes added after
+the fold, the refusal of a nonzero quotient that rounds to zero.
 """
 
 import math
@@ -21,6 +23,7 @@ from staralg import (
     StarComplex,
     StarDivisionError,
     StarError,
+    StarUnderflowError,
     Unary,
     UnboundVariableError,
     Var,
@@ -102,7 +105,10 @@ def ref_eval_classical(node, z=None):
         return left * right
     if right == 0:
         raise StarDivisionError("division by zero")
-    return left / right
+    q = left / right
+    if not q and left and math.isfinite(right.real) and math.isfinite(right.imag):
+        raise StarUnderflowError("the quotient of a nonzero point underflows to zero")
+    return q
 
 
 def ref_eval_direct(node, pair, z):

@@ -13,11 +13,14 @@ from dataclasses import replace
 import pytest
 
 from staralg import (
+    Binary,
     GridDomain,
     HomomorphismHandle,
+    Lit,
     MissingInvolutionError,
     MissingUnitError,
     StarComplex,
+    StarDivisionError,
     StarPolynomial,
     StarUnderflowError,
     arith,
@@ -128,6 +131,31 @@ def test_an_underflowing_quotient_is_one_error_line(mode):
         "error: the quotient of a nonzero point underflows to zero"
         " in subterm (1e-320,0.0)/(1e+308,1e+308)\n"
     )
+
+
+@pytest.mark.parametrize("mode", ["direct", "pullback"])
+def test_an_underflowing_quotient_on_a_grid_is_one_error_line(mode):
+    # grid reads only its own route, so the pullback route refuses too
+    argv = ["grid", "--mode", mode, "--radial", "1", "--angular", "4"]
+    code, out, err = run(argv + ["(1e-320,0)/(1e308,1e308)*z"])
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: the quotient of a nonzero point underflows to zero"
+        " in subterm (1e-320,0.0)/(1e+308,1e+308)\n"
+    )
+
+
+def test_the_classical_quotient_refuses_underflow_as_c_div_does():
+    with pytest.raises(StarUnderflowError):
+        eval_classical(parse_expr("(1e-320,0)/(1e308,1e308)"))
+    # a zero numerator and an infinite divisor give zero without underflow
+    assert eval_classical(parse_expr("(0,0)/(1e308,1e308)")) == 0
+    assert eval_classical(Binary("div", Lit(1.0, 0.0), Lit(math.inf, 0.0))) == 0
+    # a subnormal quotient is not zero, and passes
+    assert eval_classical(parse_expr("(1e-300,0)/(1e10,0)")) == 1e-310
+    # division by zero keeps its own refusal
+    with pytest.raises(StarDivisionError, match="^division by zero$"):
+        eval_classical(parse_expr("(1,0)/(0,0)"))
 
 
 def test_c_div_refuses_an_underflowing_quotient_but_not_division_by_infinity():
