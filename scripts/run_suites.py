@@ -16,7 +16,6 @@ from staralg import (
     grid_algebra,
     make_disk_domain,
     pair_of,
-    polynomial_algebra,
     run_axiom_suite,
     scalar_algebra,
 )
@@ -34,7 +33,6 @@ def carriers(pair):
     return {
         "scalar": scalar_algebra(pair),
         "grid": grid_algebra(dom),
-        "polynomial": polynomial_algebra(dom),
     }
 
 

@@ -1,10 +1,9 @@
 """Generator-based arithmetic and the structures built on it.
 
 The field of two-coordinate numbers over a pair of strictly increasing
-bijections, concrete normed algebras over that field (scalars, finite
-grids of function values, polynomials), geometric-series inversion,
-homomorphism and ideal machinery, a randomized axiom harness, and a
-small CLI.
+bijections, concrete normed algebras over that field (scalars and finite
+grids of function values), geometric-series inversion, homomorphism and
+ideal machinery, a randomized axiom harness, and a small CLI.
 """
 
 # each submodule's __all__ is the one list of its public names; errors

@@ -1,6 +1,6 @@
-"""Concrete carriers: the scalar field, finite-grid function algebras,
-polynomials, evaluation ideals, element classification, and the subset
-specs that the closure check in axiom_harness audits.
+"""Concrete carriers: the scalar field and finite-grid function algebras,
+with evaluation ideals, element classification, and the ideal subset
+spec that the closure check in axiom_harness audits.
 
 An Algebra is a plain record of operations over one generator pair. The
 axiom harness, the series inverters, and the morphism checks only ever
@@ -14,7 +14,6 @@ import math
 import operator
 import random
 from dataclasses import dataclass, field
-from itertools import starmap, zip_longest
 from typing import Any, Callable, Iterable
 
 from .errors import (
@@ -33,7 +32,6 @@ from .star_complex import (
     c_mul,
     c_norm,
     c_sub,
-    from_classical,
     from_preimages,
     one,
     random_point,
@@ -56,15 +54,6 @@ __all__ = [
     "fn_involution",
     "sup_norm",
     "grid_algebra",
-    "StarPolynomial",
-    "make_polynomial",
-    "poly_add",
-    "poly_sub",
-    "poly_scalar_mul",
-    "poly_mul",
-    "poly_eval",
-    "poly_to_grid",
-    "polynomial_algebra",
     "EvaluationIdeal",
     "ideal_membership",
     "quotient_norm",
@@ -72,8 +61,6 @@ __all__ = [
     "classify_element",
     "hermitian_parts",
     "SubsetSpec",
-    "norm_ball_subset",
-    "polynomial_subset",
     "ideal_subset",
 ]
 
@@ -159,11 +146,6 @@ def _draw(rng: random.Random, n: int, b: float) -> tuple[complex, ...]:
     r = rng.random
     w = b + b
     return tuple(complex(-b + w * r(), -b + w * r()) for _ in range(n))
-
-
-def _describe(x: GridFunction | StarPolynomial) -> list[list[float]]:
-    """Grid values or polynomial coefficients as preimage pairs."""
-    return [[w.real, w.imag] for w in x.preimages]
 
 
 # ---------------------------------------------------------------------------
@@ -435,8 +417,7 @@ def _commutes(A: Algebra) -> bool:
     """Does A's product commute bit for bit? Yes for the classical complex
     product on preimages, alone (``c_mul``) or pointwise on a grid
     (``fn_mul``), decided by identity, so a record whose ``mul`` was
-    replaced does not inherit it. ``poly_mul`` sums its convolution in
-    another order once its operands are swapped, so it is not listed."""
+    replaced does not inherit it."""
     return A.mul is c_mul or A.mul is fn_mul
 
 
@@ -488,157 +469,9 @@ def grid_algebra(dom: GridDomain) -> Algebra:
         unit=grid_constant(dom, one(pair)),
         involution=fn_involution,
         sample=sample,
-        describe=_describe,
+        describe=lambda f: [[w.real, w.imag] for w in f.preimages],
         fused_distance=(sup_norm, distance),
         fused_norm=(sup_norm, _sup_modulus),
-    )
-
-
-# ---------------------------------------------------------------------------
-# polynomials over the field
-
-
-@dataclass(frozen=True, init=False)
-class StarPolynomial:
-    """Coefficient preimages in increasing degree; at least the constant
-    term. Stored and guarded as ``GridFunction`` values are: the
-    constructor takes field points, ``.coefficients`` builds them back.
-    """
-
-    pair: GeneratorPair
-    preimages: tuple[complex, ...]
-
-    def __init__(self, pair: GeneratorPair, coefficients: tuple[StarComplex, ...]):
-        for c in coefficients:
-            _same_pair(c.pair, pair)
-        object.__setattr__(self, "pair", pair)
-        object.__setattr__(
-            self, "preimages", _nonempty(tuple(c.value for c in coefficients))
-        )
-
-    @classmethod
-    def of_preimages(
-        cls, pair: GeneratorPair, zs: tuple[complex, ...]
-    ) -> StarPolynomial:
-        """The polynomial with coefficient preimages zs, after one guard
-        over them all."""
-        p = object.__new__(cls)
-        object.__setattr__(p, "pair", pair)
-        object.__setattr__(p, "preimages", guard_points(pair, _nonempty(zs)))
-        return p
-
-    @property
-    def coefficients(self) -> tuple[StarComplex, ...]:
-        return tuple(StarComplex(self.pair, w) for w in self.preimages)
-
-    @property
-    def degree(self) -> int:
-        return len(self.preimages) - 1
-
-
-def _nonempty(zs: tuple[complex, ...]) -> tuple[complex, ...]:
-    if not zs:
-        raise ValueError("a polynomial needs at least one coefficient")
-    return zs
-
-
-def make_polynomial(
-    pair: GeneratorPair, coefficients: tuple[StarComplex, ...] | list[StarComplex]
-) -> StarPolynomial:
-    """Build a polynomial, trimming trailing coefficients of preimage
-    modulus at most 1e-12."""
-    coeffs = list(coefficients)
-    while len(coeffs) > 1 and math.hypot(*coeffs[-1].preimages) <= 1e-12:
-        coeffs.pop()
-    return StarPolynomial(pair, tuple(coeffs))
-
-
-def _coefficientwise(
-    op: Callable[[complex, complex], complex], p: StarPolynomial, q: StarPolynomial
-) -> StarPolynomial:
-    """op on the aligned coefficient preimages, the shorter padded with 0j."""
-    _same_pair(p.pair, q.pair)
-    return StarPolynomial.of_preimages(
-        p.pair, tuple(starmap(op, zip_longest(p.preimages, q.preimages, fillvalue=0j)))
-    )
-
-
-def poly_add(p: StarPolynomial, q: StarPolynomial) -> StarPolynomial:
-    return _coefficientwise(operator.add, p, q)
-
-
-def poly_sub(p: StarPolynomial, q: StarPolynomial) -> StarPolynomial:
-    return _coefficientwise(operator.sub, p, q)
-
-
-def poly_scalar_mul(lam: StarComplex, p: StarPolynomial) -> StarPolynomial:
-    _same_pair(lam.pair, p.pair)
-    c = lam.value
-    return StarPolynomial.of_preimages(p.pair, tuple(c * w for w in p.preimages))
-
-
-def poly_mul(p: StarPolynomial, q: StarPolynomial) -> StarPolynomial:
-    """Coefficient convolution on preimages."""
-    _same_pair(p.pair, q.pair)
-    out = [0j] * (len(p.preimages) + len(q.preimages) - 1)
-    for i, u in enumerate(p.preimages):
-        for j, v in enumerate(q.preimages):
-            out[i + j] += u * v
-    return StarPolynomial.of_preimages(p.pair, tuple(out))
-
-
-def _horner(zs: tuple[complex, ...], w: complex) -> complex:
-    """The polynomial with coefficient preimages zs at the preimage w."""
-    acc = zs[-1]
-    for c in reversed(zs[:-1]):
-        acc = acc * w + c
-    return acc
-
-
-def poly_eval(p: StarPolynomial, z: StarComplex) -> StarComplex:
-    """Horner evaluation on preimages; only the value is guarded."""
-    _same_pair(z.pair, p.pair)
-    return from_classical(p.pair, _horner(p.preimages, z.value))
-
-
-def poly_to_grid(p: StarPolynomial, dom: GridDomain) -> GridFunction:
-    """Restrict a polynomial to a grid."""
-    _same_pair(dom.pair, p.pair)
-    zs = p.preimages
-    return GridFunction.of_preimages(dom, tuple(_horner(zs, w) for w in dom.preimages))
-
-
-def polynomial_algebra(dom: GridDomain) -> Algebra:
-    """Polynomials with the sup norm of their restriction to a grid.
-
-    Sampled degrees (at most 3) and coefficient bounds (1) stay small so
-    that triple products taken inside law checks neither vanish on the
-    grid without being zero nor push coefficient preimages past the exp
-    generator's working domain.
-    """
-    pair = dom.pair
-
-    def sample(rng: random.Random) -> StarPolynomial:
-        deg = rng.randint(0, 3)
-        return StarPolynomial.of_preimages(pair, _draw(rng, deg + 1, 1.0))
-
-    def sub(p: StarPolynomial, q: StarPolynomial) -> StarPolynomial:
-        _same_pair(pair, q.pair)
-        return poly_sub(p, q)
-
-    return Algebra(
-        name="polynomial",
-        pair=pair,
-        add=poly_add,
-        sub=sub,
-        scalar_mul=poly_scalar_mul,
-        mul=poly_mul,
-        norm=lambda p: sup_norm(poly_to_grid(p, dom)),
-        zero=StarPolynomial(pair, (zero(pair),)),
-        unit=StarPolynomial(pair, (one(pair),)),
-        involution=None,
-        sample=sample,
-        describe=_describe,
     )
 
 
@@ -745,76 +578,6 @@ class SubsetSpec:
     contains: Callable[[Any, float], bool]
     sample_member: Callable[[random.Random], Any]
     star_closed: bool = False
-
-
-def norm_ball_subset(dom: GridDomain) -> SubsetSpec:
-    """Functions with sup norm at most 1. Not closed under addition;
-    useful as a deliberate closure-check failure."""
-
-    def contains(f: GridFunction, tol: float) -> bool:
-        return _sup_modulus(f) <= 1.0 + tol
-
-    def sample_member(rng: random.Random) -> GridFunction:
-        target = rng.uniform(0.5, 1.0)
-        vals = list(_draw(rng, len(dom), 1.0))
-        peak = max(abs(v) for v in vals)
-        if peak == 0.0:
-            vals[0] = complex(target, 0.0)
-            peak = target
-        scale = target / peak
-        return GridFunction.of_preimages(dom, tuple(v * scale for v in vals))
-
-    return SubsetSpec(
-        name="sup-norm ball of radius 1",
-        contains=contains,
-        sample_member=sample_member,
-        star_closed=True,
-    )
-
-
-def polynomial_subset(dom: GridDomain) -> SubsetSpec:
-    """Grid restrictions of polynomials of degree at most 4.
-
-    Membership is decided by a least-squares fit of degree 4 on the grid
-    points: the projection onto an orthonormal basis of the restrictions
-    of 1, z, ..., z**4, built once by Gram-Schmidt run twice. Members
-    leave residuals at rounding scale (at most 1e-7, or the check's
-    tolerance if larger), generic functions on 10+ points do not.
-    Sampled members have degree at most 2 so that products stay within
-    the fit degree.
-    """
-    if len(dom.points) <= 5:
-        raise ValueError("grid too small to separate polynomials from the rest")
-
-    def project_out(basis: list[list[complex]], v: list[complex]) -> list[complex]:
-        for q in basis:
-            c = sum(qi.conjugate() * vi for qi, vi in zip(q, v))
-            v = [vi - c * qi for qi, vi in zip(q, v)]
-        return v
-
-    basis: list[list[complex]] = []
-    for k in range(5):
-        # the second pass restores the orthogonality the first loses to rounding
-        v = project_out(basis, project_out(basis, [z**k for z in dom.preimages]))
-        norm = math.hypot(*map(abs, v))
-        basis.append([vi / norm for vi in v])
-
-    def contains(f: GridFunction, tol: float) -> bool:
-        bound = max(1e-7, tol)
-        return all(abs(r) <= bound for r in project_out(basis, list(f.preimages)))
-
-    def sample_member(rng: random.Random) -> GridFunction:
-        deg = rng.randint(0, 2)
-        return poly_to_grid(
-            StarPolynomial.of_preimages(dom.pair, _draw(rng, deg + 1, 2.0)), dom
-        )
-
-    return SubsetSpec(
-        name="polynomials of degree <= 4 on the grid",
-        contains=contains,
-        sample_member=sample_member,
-        star_closed=False,
-    )
 
 
 def ideal_subset(I: EvaluationIdeal) -> SubsetSpec:

@@ -25,7 +25,6 @@ from typing import Any, Callable
 from .algebra import (
     Algebra,
     GridFunction,
-    StarPolynomial,
     SubsetSpec,
     _draw,
     make_disk_domain,
@@ -93,15 +92,13 @@ def random_sample(
     bound: float = _DRAW_BOUND,
     seed: int = 0,
     domain=None,
-    degree: int = 3,
 ):
     """One deterministic random element of the requested kind.
 
     Kinds: star-real (alpha line), star-complex, grid-function (over
-    ``domain`` or a default 2x8 disk lattice), polynomial (coefficients
-    up to ``degree``). Preimage components are uniform in [-bound,
-    bound]; bounds above 600 would leave the exp generator's working
-    domain and are rejected.
+    ``domain`` or a default 2x8 disk lattice). Preimage components are
+    uniform in [-bound, bound]; bounds above 600 would leave the exp
+    generator's working domain and are rejected.
     """
     if not (0.0 < bound <= 600.0):
         raise ValueError("bound must be in (0, 600] to stay representable")
@@ -114,9 +111,6 @@ def random_sample(
         dom = domain if domain is not None else make_disk_domain(pair, 2, 8)
         _same_pair(pair, dom.pair)
         return GridFunction.of_preimages(dom, _draw(rng, len(dom), bound))
-    if kind == "polynomial":
-        # a negative degree draws no coefficient, which the constructor refuses
-        return StarPolynomial.of_preimages(pair, _draw(rng, degree + 1, bound))
     raise ValueError(f"unknown sample kind {kind!r}")
 
 

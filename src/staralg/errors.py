@@ -38,7 +38,7 @@ class StarDivisionError(StarError):
 
 
 class StarUnderflowError(StarError):
-    """A nonzero quotient rounds to the additive zero."""
+    """A nonzero quotient or product rounds to the additive zero."""
 
 
 class NegativeSqrtError(StarError):

@@ -648,6 +648,21 @@ def _refuse_underflow(v: complex, w: complex) -> None:
         raise StarUnderflowError("the quotient of a nonzero point underflows to zero")
 
 
+def _refuse_zero_product(v: complex, w: complex) -> None:
+    """Called with a product v * w that came out zero: StarUnderflowError
+    when v and w are both nonzero, since the field has no zero divisors.
+    The one product rule, under both routes' multiplication and c_mul."""
+    if v and w:
+        raise StarUnderflowError("the product of nonzero points underflows to zero")
+
+
+def _classical_mul(left: complex, right: complex) -> complex:
+    q = left * right
+    if not q:
+        _refuse_zero_product(left, right)
+    return q
+
+
 def _classical_div(left: complex, right: complex) -> complex:
     if right == 0:
         raise StarDivisionError("division by zero")
@@ -670,7 +685,7 @@ def _classical_norm(v: complex) -> complex:
 _CLASSICAL_OPS = {
     "add": operator.add,
     "sub": operator.sub,
-    "mul": operator.mul,
+    "mul": _classical_mul,
     "div": _classical_div,
     "neg": operator.neg,
     "conj": complex.conjugate,

@@ -23,7 +23,14 @@ from functools import lru_cache
 from typing import Callable
 
 from .errors import PairMismatchError, StarDivisionError
-from .expr import _DRAW_BOUND, Node, _refuse_underflow, eval_classical, read_at
+from .expr import (
+    _DRAW_BOUND,
+    Node,
+    _refuse_underflow,
+    _refuse_zero_product,
+    eval_classical,
+    read_at,
+)
 from .generators import GeneratorPair, guard
 from .star_real import StarReal, from_preimage, preimage_close
 
@@ -129,9 +136,14 @@ def c_neg(z: StarComplex) -> StarComplex:
 
 
 def c_mul(z: StarComplex, w: StarComplex) -> StarComplex:
-    """Product: the classical complex product on preimages."""
+    """Product: the classical complex product on preimages. A product of
+    nonzero points that rounds to zero raises StarUnderflowError
+    (``expr._refuse_zero_product``)."""
     _same_pair(z.pair, w.pair)
-    return StarComplex(z.pair, z.pair.check(z.value * w.value))
+    q = z.value * w.value
+    if not q:
+        _refuse_zero_product(z.value, w.value)
+    return StarComplex(z.pair, z.pair.check(q))
 
 
 def _quotient(v: complex, w: complex) -> complex:
@@ -209,10 +221,16 @@ def _direct_ops(pair: GeneratorPair) -> dict[str, Callable]:
         # subexpression then sits on the real axis
         return check(complex(guard(beta, math.hypot(v.real, v.imag)), 0.0))
 
+    def mul(v: complex, w: complex) -> complex:
+        q = v * w
+        if not q:
+            _refuse_zero_product(v, w)
+        return check(q)
+
     return {
         "add": lambda v, w: check(v + w),
         "sub": lambda v, w: check(v - w),
-        "mul": lambda v, w: check(v * w),
+        "mul": mul,
         "div": lambda v, w: check(_quotient(v, w)),
         "conj": lambda v: check(v.conjugate()),
         # the guarded zero minus v, as c_neg, so that signed zeros come

@@ -1,6 +1,6 @@
-import cmath
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -9,7 +9,6 @@ from staralg import (
     EvaluationIdeal,
     GridFunction,
     MissingInvolutionError,
-    StarPolynomial,
     approx_eq,
     c_conj,
     c_mul,
@@ -20,6 +19,7 @@ from staralg import (
     fn_involution,
     fn_mul,
     fn_scalar_mul,
+    fn_sub,
     from_preimages,
     grid_algebra,
     grid_constant,
@@ -27,15 +27,8 @@ from staralg import (
     ideal_membership,
     ideal_subset,
     make_disk_domain,
-    make_polynomial,
-    norm_ball_subset,
     one,
     pair_of,
-    poly_eval,
-    poly_mul,
-    poly_to_grid,
-    polynomial_algebra,
-    polynomial_subset,
     quotient_norm,
     scalar_algebra,
     subalgebra_closure_check,
@@ -102,60 +95,15 @@ def test_sup_norm_is_a_beta_value():
     assert n.image == pytest.approx(math.exp(0.5), rel=1e-14)
 
 
-def test_polynomial_horner_matches_pullback(pair):
-    rng = random.Random(5)
-    coeffs = [
-        from_preimages(pair, rng.uniform(-2, 2), rng.uniform(-2, 2))
-        for _ in range(5)
-    ]
-    p = StarPolynomial(pair, tuple(coeffs))
-    at = from_preimages(pair, 0.4, -0.3)
-    got = poly_eval(p, at).as_complex
-    zc = at.as_complex
-    want = sum(c.as_complex * zc**k for k, c in enumerate(coeffs))
-    assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
-
-
-def test_poly_mul_matches_classical(pair):
-    p = StarPolynomial(
-        pair, (from_preimages(pair, 1.0, 0.0), from_preimages(pair, 0.0, 1.0))
-    )  # 1 + i z
-    q = StarPolynomial(
-        pair, (from_preimages(pair, 2.0, 0.0), from_preimages(pair, 1.0, 0.0))
-    )  # 2 + z
-    prod = poly_mul(p, q)
-    # (1 + i z)(2 + z) = 2 + (1 + 2i) z + i z^2
-    assert prod.coefficients[0].preimages == pytest.approx((2.0, 0.0), abs=1e-12)
-    assert prod.coefficients[1].preimages == pytest.approx((1.0, 2.0), abs=1e-12)
-    assert prod.coefficients[2].preimages == pytest.approx((0.0, 1.0), abs=1e-12)
-
-
-def test_make_polynomial_trims():
-    p = make_polynomial(
-        IE,
-        (
-            from_preimages(IE, 1.0, 0.0),
-            from_preimages(IE, 2.0, 0.0),
-            from_preimages(IE, 0.0, 0.0),
-        ),
-    )
-    assert p.degree == 1
-
-
-def test_poly_to_grid_and_ideal():
+def test_ideal_membership_and_quotient_norm():
     dom = make_disk_domain(IE, 2, 8)
-    # p(z) = z - 1/2 vanishes at the grid point 1/2
-    p = StarPolynomial(
-        IE, (from_preimages(IE, -0.5, 0.0), from_preimages(IE, 1.0, 0.0))
-    )
-    f = poly_to_grid(p, dom)
+    # f(z) = z - 1/2 vanishes at the grid point 1/2
     at = from_preimages(IE, 0.5, 0.0)
+    f = fn_sub(coordinate_function(dom), grid_constant(dom, at))
     ideal = EvaluationIdeal(dom, at)
     assert ideal_membership(ideal, f)
     assert quotient_norm(f, ideal).preimage == pytest.approx(0.0, abs=1e-12)
-    g = poly_to_grid(
-        StarPolynomial(IE, (from_preimages(IE, 0.25, 0.0),)), dom
-    )
+    g = grid_constant(dom, from_preimages(IE, 0.25, 0.0))
     assert not ideal_membership(ideal, g)
     assert quotient_norm(g, ideal).preimage == pytest.approx(0.25, rel=1e-13)
 
@@ -202,9 +150,9 @@ def test_classify_grid_elements():
 
 def test_classify_requires_involution():
     dom = make_disk_domain(IE, 1, 4)
-    P = polynomial_algebra(dom)
+    A = replace(grid_algebra(dom), involution=None)
     with pytest.raises(MissingInvolutionError):
-        classify_element(P, P.unit)
+        classify_element(A, A.unit)
 
 
 def test_hermitian_parts_scalar_oracle(pair):
@@ -232,54 +180,12 @@ def test_hermitian_parts_grid(pair):
     assert A.distance(A.add(u, iv), f) <= 1e-9
 
 
-def test_polynomial_subset_closed():
-    dom = make_disk_domain(IE, 2, 8)
-    A = grid_algebra(dom)
-    report = subalgebra_closure_check(
-        A, polynomial_subset(dom), trials=120, seed=4
-    )
-    assert report.passed, report.counterexample
-
-
-@pytest.mark.parametrize("radial, angular", [(2, 8), (4, 16)])
-def test_polynomial_subset_separates_members_from_the_rest(pair, radial, angular):
-    dom = make_disk_domain(pair, radial, angular)
-    contains = polynomial_subset(dom).contains
-    rng = random.Random(radial * angular)
-
-    def draw(deg=4, lead=0.0, noise=0.0):
-        coef = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(deg + 1)]
-        if lead:
-            coef[deg] = cmath.rect(lead, rng.uniform(0, 2 * math.pi))
-        return GridFunction.of_preimages(dom, tuple(
-            sum(c * z**k for k, c in enumerate(coef))
-            + noise * complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-            for z in dom.preimages
-        ))
-
-    for _ in range(50):
-        assert contains(draw(rng.randint(0, 4)), 1e-9)
-        assert contains(draw(noise=1e-9), 1e-9)
-        assert not contains(draw(5, lead=rng.uniform(0.5, 1.0)), 1e-9)
-        assert not contains(draw(noise=1e-5), 1e-9)
-        generic = tuple(complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in dom.preimages)
-        assert not contains(GridFunction.of_preimages(dom, generic), 1e-9)
-
-
 def test_ideal_subset_closed():
     dom = make_disk_domain(IE, 2, 8)
     A = grid_algebra(dom)
     ideal = EvaluationIdeal(dom, from_preimages(IE, 0.5, 0.0))
     report = subalgebra_closure_check(A, ideal_subset(ideal), trials=120, seed=5)
     assert report.passed, report.counterexample
-
-
-def test_norm_ball_not_closed_under_addition():
-    dom = make_disk_domain(IE, 1, 4)
-    A = grid_algebra(dom)
-    report = subalgebra_closure_check(A, norm_ball_subset(dom), trials=60, seed=6)
-    assert not report.passed
-    assert report.counterexample["law"].startswith("closed-under")
 
 
 def test_scalar_conj_is_the_scalar_involution(pair):

@@ -24,8 +24,6 @@ from staralg import (
     kernel_image_closure_check,
     make_disk_domain,
     pair_of,
-    polynomial_algebra,
-    polynomial_subset,
     report_to_dict,
     run_axiom_suite,
     scalar_algebra,
@@ -78,7 +76,6 @@ def _cases():
         carriers = {
             "scalar": scalar_algebra(pair),
             "grid": grid_algebra(dom),
-            "polynomial": polynomial_algebra(dom),
         }
         for cname, A in carriers.items():
             for suite in SUITES:
@@ -98,9 +95,6 @@ def _cases():
     dom = make_disk_domain(pair, 2, 8)
     A = grid_algebra(dom)
     ideal = EvaluationIdeal(dom, from_preimages(pair, 0.5, 0.0))
-    yield "subset/polynomial", lambda: subalgebra_closure_check(
-        A, polynomial_subset(dom), trials=120, seed=4
-    )
     yield "subset/ideal", lambda: subalgebra_closure_check(
         A, ideal_subset(ideal), trials=120, seed=5
     )
@@ -128,9 +122,6 @@ DIGESTS = {
     "normed-algebra/grid/identity-identity": "87efcea5d5df18eb30b299e659b4a6123f01ed3010df09d3f3a35017d25fbdbf",
     "involution/grid/identity-identity": "389b282e5d908e0407047347496106f76926921f11af03e3e702c9cef7cabbed",
     "c-star/grid/identity-identity": "7e0612896d3448bdacc32d8896a5cc77f944620845ec2e895b11c1940162dbce",
-    "vector-space/polynomial/identity-identity": "0b778e0794e736f64d272ff4f4a41114996d99026c24348286cdce65b83d9a9a",
-    "norm/polynomial/identity-identity": "d34c82c048befd57bec3c7ca3afae04d75751b188e50f1c0a58ca08f5f495c48",
-    "normed-algebra/polynomial/identity-identity": "9921c4187e3beea3b2503977240f0d0b1a355aaf4c175df949814cb15b15509e",
     "homomorphism_check/identity-identity": "779a0812d7a261f5c1d3355c05a4860051d69a97c5d3d9c80c95b71ec42431cd",
     "homomorphism_check/skewed/identity-identity": "100079e319a40bf7f59d20d258fe2291cbbea900f52cf56e6cb1c0358e71477a",
     "star_homomorphism_check/identity-identity": "1113ee41e18a0d0ab72d9ced687a352b907fdb468e003138a32249852716bc9a",
@@ -150,9 +141,6 @@ DIGESTS = {
     "normed-algebra/grid/identity-exp": "2a599b9d80e2d7fc775d185769ca34303f8d219d245d28f41c90492de5dda191",
     "involution/grid/identity-exp": "69965b737ce7e6d694766b71ade0b4e7cf0cf2789ea5cff712c3b41b7ab660b2",
     "c-star/grid/identity-exp": "908882ab537bcfe0bc296c8145e0c1260c90ec764ec752e7f69d7f7c4a379bd4",
-    "vector-space/polynomial/identity-exp": "ecb05982584743e4629d3e50f78d7509368721f1973c9104524c7ab7b97a5481",
-    "norm/polynomial/identity-exp": "ae5f9d7fe5e69909d021e668bb89c768bccac6ec3438b7604314040cfb06fa66",
-    "normed-algebra/polynomial/identity-exp": "9d62a81cb43dff92edc32b3099604d3f88724692b362261e8a438e1c84c4b2c8",
     "homomorphism_check/identity-exp": "d4e9183dbdeb607e6f65a022b52459c093624c15883ba4f9126dcbb003e57001",
     "homomorphism_check/skewed/identity-exp": "884f656af841ee58dcb664e4b29d9cc7a20f5b96af1a8c200a9f422f82e17d83",
     "star_homomorphism_check/identity-exp": "6bd4fa6dea03ea540176784d554041084546c8d0da3bf91a91a4bce8df15fd7c",
@@ -172,9 +160,6 @@ DIGESTS = {
     "normed-algebra/grid/exp-exp": "815745eeeb710461b59dbf28ddf0c0c7d5263ce6dd39770f077da463217467f5",
     "involution/grid/exp-exp": "03f3864e5bdbe590449622a1360cd8abf33bb0f09c28dd6aa12d2aeab27e3884",
     "c-star/grid/exp-exp": "60ac4ac08c10dc05aa6c81f72d3d536c21e513db9ccff1a379f3ef6ef39167b8",
-    "vector-space/polynomial/exp-exp": "0f00641e66806cae5e80557305c30ff4d92e4d77c02c73eb2963c27e3a35daa0",
-    "norm/polynomial/exp-exp": "5cfbc4d6b981f813bbd5d98baf433fb7e91100fa363dcc96b786138537dacd93",
-    "normed-algebra/polynomial/exp-exp": "2a0ff4c9256e7d480b6550960bad7c7a170b5c1f2d9335f2944240f8e6f0f525",
     "homomorphism_check/exp-exp": "2efc457cac7e394ce8c70074c19d425707457719c1324da37f79801c61eddc8a",
     "homomorphism_check/skewed/exp-exp": "dec521822db50a342b45b5277928a96f58f69561fc71b08b80d8468cff71f409",
     "star_homomorphism_check/exp-exp": "eb6816b9f6406a352e78344066d9bc0d32a2cbcbe057c9d586e3854c47646338",
@@ -194,9 +179,6 @@ DIGESTS = {
     "normed-algebra/grid/cube-exp": "3763373a24bbdd30abe24b8b7fbe3d835ea163258853933afdc653f8c5dcb1be",
     "involution/grid/cube-exp": "b51ebb55d759869d4348bd62d31f37b16b92e3f1bc3a9e0b3e286fa5d6b05ced",
     "c-star/grid/cube-exp": "873f52ad62e23bc59f2ac2f98fff7ec7ec1379fff4efe436efb6a7e88e5372ab",
-    "vector-space/polynomial/cube-exp": "206c367239d39040ef5c27257d015bd833fe83a2e8ba3d380d99e678a84a0b4a",
-    "norm/polynomial/cube-exp": "4fed33b087f95005eba6aa1747f7014c249da63452a0eaf8c310c7f5f3311825",
-    "normed-algebra/polynomial/cube-exp": "4e5015e636af80bb6deaba00135f092ffe6be163d61b9ccba1cbbb9e5c365494",
     "homomorphism_check/cube-exp": "6f2ad54fc62c89a4271fc60688fff8d02816cb7dd49c548ddb26bbfeb531043e",
     "homomorphism_check/skewed/cube-exp": "5173be4c50a7202737f5ca220b9d8880aeaf181127770da8fbd0db1a27ac360f",
     "star_homomorphism_check/cube-exp": "f5cd64a0c1d5c52e2d2340bdb2923ba5f804e05a36ddd5112900bbd0327fa2da",
@@ -205,7 +187,6 @@ DIGESTS = {
     "kernel_image_closure_check/skewed/cube-exp": "2a0f04d7f4e551fc202ca15022beb11b17ca306736ed8074df57e1e312440770",
     "unital_functional_check/cube-exp": "01b00ca747847ec851ba1ed10446dd4e41da165215cac58e3193b104fff64f6a",
     "unital_functional_check/skewed/cube-exp": "8a057ddf60e8f3928d6c2c22afae1a80a1e4c8c12b5b21ec54812d0e36bf0673",
-    "subset/polynomial": "0dae88a87aee1d5f5d1116111e420381f671495772d5260f7cf6ba7038c77f14",
     "subset/ideal": "1fb6399e98d61a80ebc0a8b6d4b030bddb70753443be4f4115625b104427c317",
 }
 

@@ -4,8 +4,9 @@
 printer and the two evaluation routes as they were written before the
 fold, kept as the reference: the fold must give the same text, the same
 values to the bit and the same errors, naming the same subterm. The
-classical walker has since gained the one rule the routes added after
-the fold, the refusal of a nonzero quotient that rounds to zero.
+classical walker has since gained the two rules the routes added after
+the fold, the refusal of a nonzero quotient or product that rounds to
+zero.
 """
 
 import math
@@ -102,7 +103,10 @@ def ref_eval_classical(node, z=None):
     if node.op == "sub":
         return left - right
     if node.op == "mul":
-        return left * right
+        q = left * right
+        if not q and left and right:
+            raise StarUnderflowError("the product of nonzero points underflows to zero")
+        return q
     if right == 0:
         raise StarDivisionError("division by zero")
     q = left / right

@@ -7,6 +7,7 @@ from dataclasses import replace
 import pytest
 
 from staralg import (
+    EvaluationIdeal,
     HomomorphismHandle,
     SubsetSpec,
     broken_involution,
@@ -17,10 +18,10 @@ from staralg import (
     from_preimages,
     grid_algebra,
     homomorphism_check,
+    ideal_subset,
     kernel_image_closure_check,
     make_disk_domain,
     pair_of,
-    polynomial_subset,
     report_to_dict,
     run_axiom_suite,
     scalar_algebra,
@@ -112,7 +113,8 @@ def test_passing_runs_describe_nothing():
     A, calls = _counted(grid_algebra(dom))
     runs = [lambda s=s: run_axiom_suite(s, A, trials=30, seed=2) for s in
             ("vector-space", "norm", "normed-algebra", "involution", "c-star")]
-    runs.append(lambda: subalgebra_closure_check(A, polynomial_subset(dom), trials=30))
+    ideal = ideal_subset(EvaluationIdeal(dom, dom.points[1]))
+    runs.append(lambda: subalgebra_closure_check(A, ideal, trials=30))
     runs += [lambda c=c: c(_evaluation(A), trials=30) for c in MORPHISM_CHECKS]
     for run in runs:
         assert run().passed

@@ -17,7 +17,6 @@ from staralg import (
     GridFunction,
     PairMismatchError,
     StarError,
-    StarPolynomial,
     arith,
     c_mul,
     coordinate_function,
@@ -33,11 +32,6 @@ from staralg import (
     one,
     pair_of,
     parse_expr,
-    poly_add,
-    poly_eval,
-    poly_mul,
-    poly_scalar_mul,
-    poly_to_grid,
     random_sample,
 )
 
@@ -55,23 +49,14 @@ def test_the_mismatch_errors_share_one_base():
 
 def _cases():
     dom = make_disk_domain(IE, 1, 4)
-    other_dom = make_disk_domain(EE, 1, 4)
-    p = StarPolynomial(IE, (one(IE), one(IE)))
-    q = StarPolynomial(EE, (one(EE),))
     stray = from_preimages(EE, 0.25, 0.0)
     # the grid's origin, but over the other pair
     origin = from_preimages(EE, 0.0, 0.0)
     return {
         "c_mul": lambda: c_mul(one(IE), stray),
         "fn_scalar_mul": lambda: fn_scalar_mul(stray, coordinate_function(dom)),
-        "poly_scalar_mul": lambda: poly_scalar_mul(stray, p),
         "grid_constant": lambda: grid_constant(dom, stray),
-        "poly_eval": lambda: poly_eval(p, stray),
-        "poly_to_grid": lambda: poly_to_grid(p, other_dom),
-        "poly_add": lambda: poly_add(p, q),
-        "poly_mul": lambda: poly_mul(p, q),
         "GridFunction": lambda: GridFunction(dom, (stray,) * len(dom)),
-        "StarPolynomial": lambda: StarPolynomial(IE, (one(IE), stray)),
         "GridDomain": lambda: GridDomain(IE, (from_preimages(EE, 0.0, 0.0),)),
         "random_sample": lambda: random_sample("grid-function", EE, domain=dom),
         "index_of": lambda: dom.index_of(origin),

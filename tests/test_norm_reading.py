@@ -25,7 +25,6 @@ from staralg import (
     grid_algebra,
     make_disk_domain,
     pair_of,
-    polynomial_algebra,
     run_axiom_suite,
     scalar_algebra,
 )
@@ -90,9 +89,14 @@ def test_the_fused_functions_are_taken_once_per_record(pair):
         B = replace(A, norm=lambda x: A.norm(x))
         assert B.measure is not A.fused_norm[1]
         assert B.distance is not A.fused_distance[1]
-    # the polynomial carrier has neither, and measures through its norm
-    P = polynomial_algebra(dom)
-    assert P.fused_norm is None and P.fused_distance is None
+    # a record without fused forms measures through its norm
+    G = grid_algebra(dom)
+    B = replace(G, fused_norm=None, fused_distance=None)
+    assert B.measure is not G.fused_norm[1]
+    assert B.distance is not G.fused_distance[1]
+    rng = random.Random(3)
+    f, g = G.sample(rng), G.sample(rng)
+    assert (B.measure(f), B.distance(f, g)) == (G.measure(f), G.distance(f, g))
 
 
 # ---------------------------------------------------------------------------

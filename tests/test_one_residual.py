@@ -23,7 +23,6 @@ from staralg import (
     GridFunction,
     StarComplex,
     StarError,
-    StarPolynomial,
     broken_mul,
     c_mul,
     continuity_bound_check,
@@ -34,7 +33,6 @@ from staralg import (
     neumann_inverse,
     pair_of,
     perturbative_inverse,
-    polynomial_algebra,
     scalar_algebra,
 )
 
@@ -206,7 +204,7 @@ def test_a_check_takes_one_distance_where_the_product_commutes(pair):
     cases = [
         (S, 1),
         (G, 1),
-        (polynomial_algebra(dom), 2),
+        (replace(G, fused_distance=None), 1),
         (broken_mul(S), 2),
         (broken_mul(G), 2),
         (replace(S, mul=lambda x, y: c_mul(x, y)), 2),
@@ -232,18 +230,6 @@ def test_a_series_takes_one_distance_a_term_on_scalars_and_grids(pair):
         calls.clear()
         rep = neumann_inverse(broken_mul(B), x, max_terms=5)
         assert len(calls) == 2 * rep.terms_used == 10
-
-
-def test_the_polynomial_series_still_measures_both_orders():
-    pair = PAIRS[0]
-    A = polynomial_algebra(make_disk_domain(pair, 2, 8))
-    calls: list = []
-    B = _counted_distance(A, calls)
-    x = StarPolynomial.of_preimages(pair, (0.7 + 0.1j, 0.2 - 0.1j))
-    rep = neumann_inverse(B, x)
-    assert rep.converged
-    # one norm for the gap, then two distances a term
-    assert len(calls) == 1 + 2 * rep.terms_used
 
 
 @pytest.fixture

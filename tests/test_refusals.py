@@ -21,13 +21,14 @@ from staralg import (
     MissingUnitError,
     StarComplex,
     StarDivisionError,
-    StarPolynomial,
     StarUnderflowError,
     arith,
     broken_involution,
     broken_zero,
     c_div,
+    c_mul,
     classify_element,
+    dual_mode_eval,
     eval_classical,
     evaluation_functional,
     from_preimage,
@@ -41,9 +42,6 @@ from staralg import (
     pair_of,
     parse_expr,
     perturbative_inverse,
-    polynomial_algebra,
-    polynomial_subset,
-    random_sample,
     scalar_algebra,
     series_sum,
     unital_functional_check,
@@ -65,6 +63,10 @@ def run(argv):
 
 def _no_unit(A):
     return replace(A, unit=None)
+
+
+def _no_involution(A):
+    return replace(A, involution=None)
 
 
 # --- parser errors through the CLI -----------------------------------------
@@ -171,23 +173,44 @@ def test_c_div_refuses_an_underflowing_quotient_but_not_division_by_infinity():
     assert tiny.value == 1e-310
 
 
-# --- empty carriers and undersized probes ------------------------------------
+@pytest.mark.parametrize("mode", ["direct", "pullback"])
+def test_an_underflowing_product_is_one_error_line(mode):
+    # the field has no zero divisors, so a zero product of two nonzero
+    # points can only be an underflow
+    code, out, err = run(["eval", "--mode", mode, "(1e-200,0)*(1e-200,0)"])
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: the product of nonzero points underflows to zero"
+        " in subterm (1e-200,0.0)*(1e-200,0.0)\n"
+    )
+    code, out, err = run(["eval", "--mode", mode, "(1,1)*(1,1)"])
+    assert (code, err) == (0, "")
+    assert out.startswith("value (preimages): (0.0, 2.0)\n")
 
 
-def test_empty_grid_and_polynomial_are_refused():
+def test_every_product_refuses_underflow_but_not_a_zero_operand():
+    pair = pair_of("identity", "identity")
+    tiny = from_preimages(pair, 1e-200, 0.0)
+    with pytest.raises(StarUnderflowError, match="^the product of nonzero points"):
+        c_mul(tiny, tiny)
+    with pytest.raises(StarUnderflowError, match="^the product of nonzero points"):
+        eval_classical(parse_expr("(1e-200,0)*(1e-200,0)"))
+    # a zero operand gives zero, on every route
+    assert c_mul(zero(pair), tiny).value == 0
+    assert eval_classical(parse_expr("(0,0)*(1e-200,0)")) == 0
+    for mode in ("direct", "pullback"):
+        assert dual_mode_eval(parse_expr("(1e-200,0)*(0,0)"), pair, mode).value == 0
+    # a subnormal product is not zero, and passes
+    small = c_mul(from_preimages(pair, 1e-300, 0.0), from_preimages(pair, 1e-10, 0.0))
+    assert small.value == 1e-310
+
+
+# --- empty carriers -----------------------------------------------------------
+
+
+def test_empty_grid_is_refused():
     with pytest.raises(ValueError, match="at least one point"):
         GridDomain(IE, ())
-    with pytest.raises(ValueError, match="at least one coefficient"):
-        StarPolynomial(IE, ())
-    with pytest.raises(ValueError, match="at least one coefficient"):
-        random_sample("polynomial", IE, degree=-1)
-
-
-def test_polynomial_subset_needs_more_points_than_the_fit():
-    dom = make_disk_domain(IE, 1, 4)
-    assert len(dom) == 5
-    with pytest.raises(ValueError, match="grid too small"):
-        polynomial_subset(dom)
 
 
 # --- one-line arithmetic and series bounds ------------------------------------
@@ -224,25 +247,25 @@ def test_perturbative_inverse_needs_a_unit():
 def test_classification_needs_an_involution_and_a_unit():
     x = one(IE)
     with pytest.raises(MissingInvolutionError):
-        classify_element(polynomial_algebra(make_disk_domain(IE, 2, 8)), x)
+        classify_element(_no_involution(scalar_algebra(IE)), x)
     with pytest.raises(MissingUnitError, match="unitary flag needs a unit"):
         classify_element(_no_unit(scalar_algebra(IE)), x)
 
 
 def test_star_and_hermitian_parts_need_an_involution():
-    P = polynomial_algebra(make_disk_domain(IE, 2, 8))
+    A = _no_involution(grid_algebra(make_disk_domain(IE, 2, 8)))
     with pytest.raises(MissingInvolutionError, match="decomposition"):
-        hermitian_parts(P, P.unit)
+        hermitian_parts(A, A.unit)
     with pytest.raises(MissingInvolutionError, match="no involution"):
-        P.star(P.unit)
+        A.star(A.unit)
 
 
 def test_mutants_refuse_carriers_they_cannot_break():
     with pytest.raises(MissingUnitError, match="borrows the unit"):
         broken_zero(_no_unit(scalar_algebra(IE)))
-    P = polynomial_algebra(make_disk_domain(IE, 2, 8))
+    A = _no_involution(grid_algebra(make_disk_domain(IE, 2, 8)))
     with pytest.raises(MissingInvolutionError, match="nothing to break"):
-        broken_involution(P)
+        broken_involution(A)
 
 
 def test_default_kernel_sampler_refusals():

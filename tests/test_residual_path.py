@@ -24,7 +24,6 @@ from staralg import (
     grid_algebra,
     make_disk_domain,
     pair_of,
-    polynomial_algebra,
     scalar_algebra,
 )
 
@@ -76,7 +75,7 @@ def test_grid_distance_is_the_composed_one_bit_for_bit(pair, xs, ys):
 
 def _carriers(pair):
     dom = make_disk_domain(pair, 2, 8)
-    return [scalar_algebra(pair), grid_algebra(dom), polynomial_algebra(dom)]
+    return [scalar_algebra(pair), grid_algebra(dom)]
 
 
 def _preimages(x) -> tuple[complex, ...]:

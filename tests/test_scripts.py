@@ -28,9 +28,8 @@ def test_run_suites_surveys_every_applicable_cell():
     lines = proc.stdout.splitlines()
     assert lines[-1] == "0 failing cells"
     assert sum(line.startswith("== pair") for line in lines) == 4
-    # per pair: 6 suites on the scalar carrier, all but field on the grid,
-    # and the three without an involution on polynomials
-    assert sum(" pass " in line for line in lines) == 4 * (6 + 5 + 3)
+    # per pair: 6 suites on the scalar carrier and all but field on the grid
+    assert sum(" pass " in line for line in lines) == 4 * (6 + 5)
     assert "  field          on scalar     pass" in proc.stdout
 
 

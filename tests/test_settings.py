@@ -3,6 +3,7 @@
 A library parameter that only one value was ever passed for is a
 constant, and a subcommand takes only the options its command reads: an
 option it does not read is a usage error (exit 2), not silently ignored.
+A public name that nothing read is gone from the package.
 """
 
 import contextlib
@@ -25,13 +26,6 @@ CASES = json.loads(
 RETIRED_PARAMETERS = [
     ("scalar_algebra", "sample_bound"),
     ("grid_algebra", "sample_bound"),
-    ("polynomial_algebra", "max_sample_degree"),
-    ("polynomial_algebra", "sample_bound"),
-    ("make_polynomial", "trim_tol"),
-    ("norm_ball_subset", "radius"),
-    ("polynomial_subset", "max_degree"),
-    ("polynomial_subset", "fit_degree"),
-    ("polynomial_subset", "fit_tol"),
     ("classify_element", "tol"),
     ("safe_random_tree", "z_value"),
     ("safe_random_tree", "min_denom"),
@@ -41,6 +35,23 @@ RETIRED_PARAMETERS = [
     ("kernel_image_closure_check", "kernel_sampler"),
     ("continuity_bound_check", "tol"),
     ("continuity_bound_check", "max_terms"),
+    ("random_sample", "degree"),
+]
+
+# public names that no command, check or workload used, retired with the
+# polynomial carrier and the norm-ball and polynomial subset probes
+RETIRED_NAMES = [
+    "StarPolynomial",
+    "make_polynomial",
+    "poly_add",
+    "poly_sub",
+    "poly_scalar_mul",
+    "poly_mul",
+    "poly_eval",
+    "poly_to_grid",
+    "polynomial_algebra",
+    "norm_ball_subset",
+    "polynomial_subset",
 ]
 
 # the options each subcommand reads, besides -h/--help
@@ -79,6 +90,12 @@ def run(argv):
 @pytest.mark.parametrize("name, param", RETIRED_PARAMETERS)
 def test_a_retired_parameter_is_gone(name, param):
     assert param not in inspect.signature(getattr(staralg, name)).parameters
+
+
+@pytest.mark.parametrize("name", RETIRED_NAMES)
+def test_a_retired_name_is_gone(name):
+    assert not hasattr(staralg, name)
+    assert not hasattr(staralg.algebra, name)
 
 
 @pytest.mark.parametrize("argv", RETIRED_FLAGS, ids=" ".join)
