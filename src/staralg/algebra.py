@@ -20,7 +20,9 @@ from .errors import (
     DomainMismatchError,
     MissingInvolutionError,
     MissingUnitError,
+    StarUnderflowError,
 )
+from .expr import _refuse_zero_product
 from .generators import GeneratorPair, guard, guard_points
 from .star_complex import (
     StarComplex,
@@ -76,14 +78,9 @@ class Algebra:
 
     ``sub`` is the carrier's native difference; like ``add(x, neg(y))``
     it refuses a ``y`` over another pair than the carrier's.
-    ``measure(x)`` reads ``norm(x).preimage`` and ``distance(x, y)``
-    reads ``norm(sub(x, y)).preimage``, both as preimage-scale floats.
-    ``fused_norm`` pairs a norm with a float reading fused from it, and
-    ``fused_distance`` a norm with a distance fused from it and ``sub``.
-    Each is taken only while ``norm`` is the norm it was fused from, by
-    identity, and that is decided once per record, in ``__post_init__``;
-    ``dataclasses.replace`` reruns it, so a record made by
-    ``replace(A, norm=...)`` measures through its own norm.
+    ``measure(x)`` is the norm of x as a preimage-scale float that passed
+    beta's guard, and ``distance(x, y)`` is the measure of ``sub(x, y)``;
+    ``norm(x)`` shows the measure on the beta line.
     """
 
     name: str
@@ -92,34 +89,17 @@ class Algebra:
     sub: Callable[[Any, Any], Any]
     scalar_mul: Callable[[StarComplex, Any], Any]
     mul: Callable[[Any, Any], Any]
-    norm: Callable[[Any], StarReal]
+    measure: Callable[[Any], float]
+    distance: Callable[[Any, Any], float]
     zero: Any
     unit: Any | None
     involution: Callable[[Any], Any] | None
     sample: Callable[[random.Random], Any]
     describe: Callable[[Any], Any]
-    fused_distance: tuple[Callable, Callable[[Any, Any], float]] | None = None
-    fused_norm: tuple[Callable, Callable[[Any], float]] | None = None
-    measure: Callable[[Any], float] = field(init=False, repr=False, compare=False)
-    distance: Callable[[Any, Any], float] = field(
-        init=False, repr=False, compare=False
-    )
 
-    def __post_init__(self):
-        norm, sub = self.norm, self.sub
-
-        def measure(x: Any) -> float:
-            return norm(x).preimage
-
-        def distance(x: Any, y: Any) -> float:
-            return norm(sub(x, y)).preimage
-
-        for name, fused, own in (
-            ("measure", self.fused_norm, measure),
-            ("distance", self.fused_distance, distance),
-        ):
-            take = fused is not None and fused[0] is norm
-            object.__setattr__(self, name, fused[1] if take else own)
+    def norm(self, x: Any) -> StarReal:
+        """The norm of x on the beta line."""
+        return from_preimage(self.pair.beta, self.measure(x))
 
     def neg(self, x: Any) -> Any:
         return self.scalar_mul(from_preimages(self.pair, -1.0, 0.0), x)
@@ -181,14 +161,13 @@ def scalar_algebra(pair: GeneratorPair) -> Algebra:
         sub=sub,
         scalar_mul=c_mul,
         mul=c_mul,
-        norm=c_norm,
+        measure=_modulus,
+        distance=distance,
         zero=zero(pair),
         unit=one(pair),
         involution=c_conj,
         sample=sample,
         describe=lambda v: list(v.preimages),
-        fused_distance=(c_norm, distance),
-        fused_norm=(c_norm, _modulus),
     )
 
 
@@ -399,13 +378,45 @@ def fn_sub(f: GridFunction, g: GridFunction) -> GridFunction:
     return _pointwise(operator.sub, f, g)
 
 
+def _refuse_zero_products(
+    qs: tuple[complex, ...], vs: tuple[complex, ...], ws: tuple[complex, ...]
+) -> None:
+    """Called with products qs of vs and ws point by point, some zero: the
+    one product rule (``expr._refuse_zero_product``) at each zero of qs,
+    in point order, naming the point as ``guard_points`` does. ``index``
+    walks from zero to zero, so no point is looped over in Python."""
+    i = -1
+    while True:
+        try:
+            i = qs.index(0j, i + 1)
+        except ValueError:  # no zero after i
+            return
+        try:
+            _refuse_zero_product(vs[i], ws[i])
+        except StarUnderflowError as e:
+            raise StarUnderflowError(f"{e} at point {i}") from None
+
+
 def fn_scalar_mul(lam: StarComplex, f: GridFunction) -> GridFunction:
+    """lam times f point by point; a product of nonzero values that rounds
+    to zero is refused before the guard, as in ``c_mul``."""
     _same_pair(lam.pair, f.domain.pair)
-    return _pointwise(lam.value.__mul__, f)
+    c, zs = lam.value, f.preimages
+    qs = tuple(map(c.__mul__, zs))
+    if not all(qs):
+        _refuse_zero_products(qs, (c,) * len(zs), zs)
+    return GridFunction.of_preimages(f.domain, qs)
 
 
 def fn_mul(f: GridFunction, g: GridFunction) -> GridFunction:
-    return _pointwise(operator.mul, f, g)
+    """f times g point by point; a product of nonzero values that rounds
+    to zero is refused before the guard, as in ``c_mul``."""
+    _same(f.domain, g.domain, "grid functions live over different grids")
+    vs, ws = f.preimages, g.preimages
+    qs = tuple(map(operator.mul, vs, ws))
+    if not all(qs):
+        _refuse_zero_products(qs, vs, ws)
+    return GridFunction.of_preimages(f.domain, qs)
 
 
 def fn_involution(f: GridFunction) -> GridFunction:
@@ -464,14 +475,13 @@ def grid_algebra(dom: GridDomain) -> Algebra:
         sub=sub,
         scalar_mul=fn_scalar_mul,
         mul=fn_mul,
-        norm=sup_norm,
+        measure=_sup_modulus,
+        distance=distance,
         zero=grid_constant(dom, zero(pair)),
         unit=grid_constant(dom, one(pair)),
         involution=fn_involution,
         sample=sample,
         describe=lambda f: [[w.real, w.imag] for w in f.preimages],
-        fused_distance=(sup_norm, distance),
-        fused_norm=(sup_norm, _sup_modulus),
     )
 
 
@@ -485,14 +495,11 @@ class EvaluationIdeal:
 
     domain: GridDomain
     point: StarComplex
+    index: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # resolving the index also validates the point
-        object.__setattr__(self, "_index", self.domain.index_of(self.point))
-
-    @property
-    def index(self) -> int:
-        return self._index  # type: ignore[attr-defined]
+        object.__setattr__(self, "index", self.domain.index_of(self.point))
 
 
 def ideal_membership(I: EvaluationIdeal, f: GridFunction, tol: float = 1e-9) -> bool:

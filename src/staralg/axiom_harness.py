@@ -575,8 +575,16 @@ def broken_zero(A: Algebra) -> Algebra:
 
 def broken_norm(A: Algebra) -> Algebra:
     """Constant norm: the zero-norm law must fail."""
-    beta_one = one_of(A.pair.beta)
-    return replace(A, name=A.name + "+broken-norm", norm=lambda x: beta_one)
+    one = one_of(A.pair.beta).preimage
+
+    def measure(x: Any) -> float:
+        return one
+
+    # the distance takes the difference, so a refused one is still refused
+    return replace(
+        A, name=A.name + "+broken-norm", measure=measure,
+        distance=lambda x, y: measure(A.sub(x, y)),
+    )
 
 
 def broken_mul(A: Algebra) -> Algebra:

@@ -114,6 +114,19 @@ def test_evaluation_ideal_requires_grid_point():
         EvaluationIdeal(dom, from_preimages(IE, 0.3, 0.3))
 
 
+def test_the_ideal_index_is_resolved_once_and_stays_out_of_repr_and_eq():
+    dom = make_disk_domain(IE, 1, 4)
+    ideal = EvaluationIdeal(dom, dom.points[2])
+    assert ideal.index == 2
+    assert repr(ideal) == f"EvaluationIdeal(domain={dom!r}, point={dom.points[2]!r})"
+    assert ideal == EvaluationIdeal(dom, dom.points[2])
+    assert ideal != EvaluationIdeal(dom, dom.points[3])
+    # replace resolves the index of the new point, and validates it
+    assert replace(ideal, point=dom.points[3]).index == 3
+    with pytest.raises(ValueError, match="not on the grid"):
+        replace(ideal, point=from_preimages(IE, 0.3, 0.3))
+
+
 def test_classify_scalar_elements(pair):
     A = scalar_algebra(pair)
     herm = from_preimages(pair, 1.5, 0.0)

@@ -14,6 +14,9 @@ from staralg import (
     GridDomain,
     GridFunction,
     StarComplex,
+    StarError,
+    StarUnderflowError,
+    c_mul,
     coordinate_function,
     evaluation_functional,
     fn_add,
@@ -21,6 +24,7 @@ from staralg import (
     fn_mul,
     fn_scalar_mul,
     from_preimages,
+    grid_algebra,
     grid_constant,
     guard,
     ideal_membership,
@@ -233,6 +237,83 @@ def test_results_past_the_interval_are_refused():
         fn_add(f, f)
     with pytest.raises(GeneratorOverflowError, match=r"^exp: .* at point 0$"):
         fn_scalar_mul(from_preimages(pair, 2.0, 0.0), f)
+
+
+UNDERFLOW = "the product of nonzero points underflows to zero"
+
+
+def test_an_underflowing_grid_product_is_refused_at_its_point():
+    dom = make_disk_domain(II, 1, 4)
+    tiny = from_preimages(II, 1e-200, 0.0)
+    f = grid_constant(dom, tiny)
+    for product in (
+        lambda: fn_mul(f, f),
+        lambda: grid_algebra(dom).mul(f, f),
+        lambda: fn_scalar_mul(tiny, f),
+    ):
+        with pytest.raises(StarUnderflowError) as e:
+            product()
+        assert str(e.value) == f"{UNDERFLOW} at point 0"
+    # the lowest refused point is named, past zeros that are not refused
+    g = GridFunction.of_preimages(dom, (0j, 1.0, 1e-200, 1e-200, 1.0))
+    with pytest.raises(StarUnderflowError, match=f"^{UNDERFLOW} at point 2$"):
+        fn_mul(g, f)
+    # a zero operand still gives zero
+    z = coordinate_function(dom)
+    assert fn_mul(z, f).preimages[0] == 0j
+    assert fn_mul(z, f).preimages[1:] == tuple(w * 1e-200 for w in dom.preimages[1:])
+    assert fn_mul(grid_constant(dom, zero(II)), f).preimages == (0j,) * len(dom)
+    assert fn_scalar_mul(zero(II), f).preimages == (0j,) * len(dom)
+
+
+def test_an_underflow_is_refused_before_the_guard():
+    # as in c_mul: point 0 overflows exp's interval, point 2 underflows
+    pair = pair_of("exp", "exp")
+    dom = make_disk_domain(pair, 1, 4)
+    f = GridFunction.of_preimages(dom, (30.0, 1.0, 1e-200, 1.0, 1.0))
+    with pytest.raises(StarUnderflowError, match=f"^{UNDERFLOW} at point 2$"):
+        fn_mul(f, f)
+    # without the underflow, the guard refuses point 0
+    g = GridFunction.of_preimages(dom, (30.0, 1.0, 1.0, 1.0, 1.0))
+    with pytest.raises(GeneratorOverflowError, match="at point 0$"):
+        fn_mul(f, g)
+
+
+def _pointwise_outcome(zs, ws):
+    """The grid product as c_mul at each point reads it: the values, or
+    the refusal of the first point that underflows, else of the first that
+    leaves the interval, named as the grid names it."""
+    outcomes = []
+    for w, v in zip(zs, ws):
+        try:
+            outcomes.append(c_mul(StarComplex(II, w), StarComplex(II, v)).value)
+        except StarError as e:
+            outcomes.append(e)
+    for kind in (StarUnderflowError, GeneratorOverflowError):
+        for i, o in enumerate(outcomes):
+            if isinstance(o, kind):
+                return kind, f"{o} at point {i}"
+    return tuple(outcomes)
+
+
+_mul_part = st.sampled_from([0.0, -0.0, 1e-200, -1e-200, 1e-160, 1.0, 1e200])
+_mul_point = st.builds(complex, _mul_part, _mul_part)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_the_grid_product_refuses_what_c_mul_refuses(data):
+    dom = make_disk_domain(II, 1, 4)
+    zs, ws = (
+        tuple(data.draw(st.lists(_mul_point, min_size=5, max_size=5)))
+        for _ in range(2)
+    )
+    f, g = GridFunction.of_preimages(dom, zs), GridFunction.of_preimages(dom, ws)
+    try:
+        got = fn_mul(f, g).preimages
+    except StarError as e:
+        got = type(e), str(e)
+    assert got == _pointwise_outcome(zs, ws)
 
 
 def test_of_preimages_checks_length_and_guards():

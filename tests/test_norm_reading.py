@@ -1,11 +1,12 @@
 """The carriers' float norm reading: ``measure``.
 
-``A.measure(x)`` must read exactly what ``A.norm(x).preimage`` reads, bit
-for bit, and refuse exactly what the norm refuses. The scalar and grid
-carriers read it without building a beta-line value, so the checks call
-no ``c_norm``, ``sup_norm`` or ``from_preimage``. A record whose norm was
-replaced (``broken_norm``, ``replace(A, norm=...)``) must measure through
-that norm instead.
+``A.measure(x)`` must read exactly what ``c_norm(x).preimage`` and
+``sup_norm(f).preimage`` read, bit for bit, and refuse exactly what those
+norms refuse. The scalar and grid carriers read it without building a
+beta-line value, so the checks call no ``c_norm``, ``sup_norm`` or
+``from_preimage``. A record whose measure was replaced (``broken_norm``,
+``replace(A, measure=...)``) is measured through the replacement, and
+``A.norm`` shows it on the beta line.
 """
 
 import math
@@ -22,11 +23,13 @@ from staralg import (
     StarComplex,
     StarError,
     broken_norm,
+    c_norm,
     grid_algebra,
     make_disk_domain,
     pair_of,
     run_axiom_suite,
     scalar_algebra,
+    sup_norm,
 )
 
 PAIR_NAMES = [
@@ -67,7 +70,7 @@ def test_the_scalar_reading_is_the_norm_bit_for_bit(pair, w):
     A = scalar_algebra(pair)
     # the point is built unguarded, as a norm may be handed one
     z = StarComplex(pair, w)
-    assert _reading(A.measure, z) == _reading(lambda x: A.norm(x).preimage, z)
+    assert _reading(A.measure, z) == _reading(lambda x: c_norm(x).preimage, z)
 
 
 @pytest.mark.parametrize("pair", PAIRS, ids=IDS)
@@ -77,30 +80,11 @@ def test_the_grid_reading_is_the_norm_bit_for_bit(pair, ws):
     dom = make_disk_domain(pair, 2, 8)
     A = grid_algebra(dom)
     f = GridFunction(dom, tuple(StarComplex(pair, w) for w in ws))
-    assert _reading(A.measure, f) == _reading(lambda x: A.norm(x).preimage, f)
-
-
-@pytest.mark.parametrize("pair", PAIRS, ids=IDS)
-def test_the_fused_functions_are_taken_once_per_record(pair):
-    dom = make_disk_domain(pair, 2, 8)
-    for A in (scalar_algebra(pair), grid_algebra(dom)):
-        assert A.measure is A.fused_norm[1]
-        assert A.distance is A.fused_distance[1]
-        B = replace(A, norm=lambda x: A.norm(x))
-        assert B.measure is not A.fused_norm[1]
-        assert B.distance is not A.fused_distance[1]
-    # a record without fused forms measures through its norm
-    G = grid_algebra(dom)
-    B = replace(G, fused_norm=None, fused_distance=None)
-    assert B.measure is not G.fused_norm[1]
-    assert B.distance is not G.fused_distance[1]
-    rng = random.Random(3)
-    f, g = G.sample(rng), G.sample(rng)
-    assert (B.measure(f), B.distance(f, g)) == (G.measure(f), G.distance(f, g))
+    assert _reading(A.measure, f) == _reading(lambda x: sup_norm(x).preimage, f)
 
 
 # ---------------------------------------------------------------------------
-# a replaced norm
+# a replaced measure
 
 
 def _counting(fn, calls: list):
@@ -112,7 +96,6 @@ def _counting(fn, calls: list):
 
 
 def _carriers(pair):
-    """The carriers with a fused reading."""
     dom = make_disk_domain(pair, 2, 8)
     return [scalar_algebra(pair), grid_algebra(dom)]
 
@@ -131,30 +114,17 @@ def test_broken_norm_is_measured_through_and_rejected(pair):
 @pytest.mark.parametrize("pair", PAIRS, ids=IDS)
 def test_a_replaced_norm_sees_every_measurement(pair):
     for A in _carriers(pair):
-        norm = A.norm
-        # the fused reading, counted: how many measurements a norm suite
-        # takes (it takes no distance)
-        m_calls: list = []
-        counted = replace(A, fused_norm=(norm, _counting(A.fused_norm[1], m_calls)))
-        want = run_axiom_suite("norm", counted, trials=5, seed=2)
-        assert m_calls
-        # a replaced norm takes every one of them
-        n_calls: list = []
-        B = replace(A, norm=_counting(norm, n_calls))
-        assert run_axiom_suite("norm", B, trials=5, seed=2) == want
-        assert n_calls == [norm] * len(m_calls)
-
-
-@pytest.mark.parametrize("pair", PAIRS, ids=IDS)
-def test_a_reading_fused_from_another_norm_is_not_taken(pair):
-    for A in _carriers(pair):
         x = A.sample(random.Random(4))
         calls: list = []
-        other = (lambda v: A.norm(v), _counting(A.fused_norm[1], calls))
-        for B in (replace(A, fused_norm=other), replace(A, fused_norm=None)):
-            assert B.measure is not A.fused_norm[1]
-            assert B.measure(x).hex() == A.measure(x).hex()
-        assert calls == []
+        B = replace(A, measure=_counting(A.measure, calls))
+        assert run_axiom_suite("norm", B, trials=5, seed=2) == run_axiom_suite(
+            "norm", A, trials=5, seed=2
+        )
+        assert calls
+        # the beta-line norm shows the replaced measure
+        calls.clear()
+        assert B.norm(x).preimage == A.measure(x)
+        assert calls == [A.measure]
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +156,8 @@ def test_the_suites_build_no_norm_value(pair, counted_readings):
         for suite in ("c-star", "norm"):
             assert run_axiom_suite(suite, A, trials=20, seed=3).passed
         assert counted_readings == []
-        # the counters are live: the norm itself goes through them
-        A.norm(A.unit)
+        # the counters are live: the norms themselves go through them
+        norm = staralg.c_norm if A.name == "scalar" else staralg.sup_norm
+        norm(A.unit)
         assert len(counted_readings) == 2
         counted_readings.clear()

@@ -188,12 +188,8 @@ def _counting(fn, calls: list):
 
 
 def _counted_distance(A, calls: list):
-    """A with each distance counted, through the fused distance where
-    there is one and through the norm otherwise; ``mul`` is untouched."""
-    if A.fused_distance is None:
-        return replace(A, norm=_counting(A.norm, calls))
-    norm, fused = A.fused_distance
-    return replace(A, fused_distance=(norm, _counting(fused, calls)))
+    """A with each distance counted; ``mul`` is untouched."""
+    return replace(A, distance=_counting(A.distance, calls))
 
 
 @pytest.mark.parametrize("pair", PAIRS, ids=IDS)
@@ -204,7 +200,6 @@ def test_a_check_takes_one_distance_where_the_product_commutes(pair):
     cases = [
         (S, 1),
         (G, 1),
-        (replace(G, fused_distance=None), 1),
         (broken_mul(S), 2),
         (broken_mul(G), 2),
         (replace(S, mul=lambda x, y: c_mul(x, y)), 2),

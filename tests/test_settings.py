@@ -7,6 +7,7 @@ A public name that nothing read is gone from the package.
 """
 
 import contextlib
+import dataclasses
 import inspect
 import io
 import json
@@ -54,6 +55,14 @@ RETIRED_NAMES = [
     "polynomial_subset",
 ]
 
+# the carrier record's settings: the norm is read through ``measure`` and
+# ``distance``, with no stored norm and no second path chosen beside them
+ALGEBRA_FIELDS = [
+    "name", "pair", "add", "sub", "scalar_mul", "mul", "measure", "distance",
+    "zero", "unit", "involution", "sample", "describe",
+]
+RETIRED_FIELDS = ["norm", "fused_norm", "fused_distance"]
+
 # the options each subcommand reads, besides -h/--help
 OPTIONS = {
     "eval": {"--alpha", "--beta", "--mode", "--tol", "--json"},
@@ -96,6 +105,13 @@ def test_a_retired_parameter_is_gone(name, param):
 def test_a_retired_name_is_gone(name):
     assert not hasattr(staralg, name)
     assert not hasattr(staralg.algebra, name)
+
+
+def test_the_carrier_record_holds_its_own_norm_reading():
+    fields = dataclasses.fields(staralg.Algebra)
+    assert not {f.name for f in fields} & set(RETIRED_FIELDS)
+    assert [f.name for f in fields if f.init] == ALGEBRA_FIELDS
+    assert not hasattr(staralg.Algebra, "__post_init__")
 
 
 @pytest.mark.parametrize("argv", RETIRED_FLAGS, ids=" ".join)
