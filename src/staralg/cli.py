@@ -21,8 +21,10 @@ contracts:
 
 Output is deterministic: same argv, same bytes.
 
-``main`` parses argv with one parser, built on its first call and reused
-for the life of the process; ``build_parser`` still returns a new one on
+``main`` builds its parsers on its first call and reuses them for the life
+of the process. An argv that starts with a subcommand's name is parsed once,
+by that subcommand's parser; any other argv, or one with arguments left
+over, goes to the whole parser. ``build_parser`` returns a new parser on
 each call.
 """
 
@@ -95,7 +97,8 @@ def _tolerance(text: str) -> float:
     return tol
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, Any]]:
+    """The whole parser, and each subcommand's parser by name."""
     # one parent per option group, so that each subcommand takes only the
     # options it reads
     pair = argparse.ArgumentParser(add_help=False)
@@ -179,12 +182,33 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed", type=int, default=0, help="random seed (default 0)"
     )
 
-    return p
+    return p, sub.choices
+
+
+def build_parser() -> argparse.ArgumentParser:
+    return _build_parsers()[0]
 
 
 # argparse keeps no per-parse state on a parser and looks up sys.stdout and
-# sys.stderr when it writes, so one parser serves every main call
-_parser = functools.cache(build_parser)
+# sys.stderr when it writes, so one set of parsers serves every main call
+_parser = functools.cache(_build_parsers)
+
+
+def _parse(argv: list[str] | None) -> argparse.Namespace:
+    """What ``build_parser().parse_args(argv)`` returns or raises. The whole
+    parser hands all after the subcommand's name to that subcommand's
+    parser and only refuses what is left over, so a subcommand's parser
+    alone can read an argv that leaves nothing over."""
+    parser, commands = _parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    if argv and argv[0] in commands:
+        args, rest = commands[argv[0]].parse_known_args(
+            argv[1:], argparse.Namespace(command=argv[0])
+        )
+        if not rest:
+            return args
+    return parser.parse_args(argv)
 
 
 def _value_dict(z: StarComplex) -> dict[str, float]:
@@ -397,7 +421,7 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = _parse(argv)
     except SystemExit as e:
         return int(e.code) if e.code is not None else 0
     try:

@@ -45,6 +45,7 @@ so that the error names its subterm exactly as the fold does.
 
 from __future__ import annotations
 
+import cmath
 import math
 import operator
 import random
@@ -640,14 +641,6 @@ def read_at(
 # classical interpretation (the pullback route)
 
 
-def _refuse_underflow(v: complex, w: complex) -> None:
-    """Called with a quotient v / w that came out zero: StarUnderflowError
-    when v is nonzero and w finite, since the exact quotient is then
-    nonzero. The one underflow rule, under both routes' division."""
-    if v and math.isfinite(w.real) and math.isfinite(w.imag):
-        raise StarUnderflowError("the quotient of a nonzero point underflows to zero")
-
-
 def _refuse_zero_product(v: complex, w: complex) -> None:
     """Called with a product v * w that came out zero: StarUnderflowError
     when v and w are both nonzero, since the field has no zero divisors.
@@ -663,13 +656,43 @@ def _classical_mul(left: complex, right: complex) -> complex:
     return q
 
 
+def _ldexp(z: complex, k: int) -> complex:
+    return complex(math.ldexp(z.real, k), math.ldexp(z.imag, k))
+
+
+def _rescaled_quotient(v: complex, w: complex, q: complex) -> complex:
+    """Called with a quotient q = v / w by a nonzero w that came out zero,
+    NaN or infinite; the one retry and underflow rule under both routes'
+    division.
+
+    Complex division overflows or underflows an intermediate at the ends
+    of the float range, though the quotient may be representable. So, for
+    a nonzero v and a finite w, divide again with v and w each scaled by a
+    power of two that puts its larger part in [0.5, 1), and scale the
+    parts back; each scaling is exact up to a part far below the larger.
+    A finite nonzero retry is kept. Otherwise q stands, and a q of zero
+    raises StarUnderflowError, since the exact quotient is nonzero."""
+    if v and cmath.isfinite(v) and cmath.isfinite(w):
+        kv = math.frexp(max(abs(v.real), abs(v.imag)))[1]
+        kw = math.frexp(max(abs(w.real), abs(w.imag)))[1]
+        try:
+            r = _ldexp(_ldexp(v, -kv) / _ldexp(w, -kw), kv - kw)
+        except OverflowError:  # the quotient is past the largest float
+            r = 0j
+        if r:
+            return r
+        if not q:
+            raise StarUnderflowError("the quotient of a nonzero point underflows to zero")
+    return q
+
+
 def _classical_div(left: complex, right: complex) -> complex:
     if right == 0:
         raise StarDivisionError("division by zero")
     q = left / right
-    if not q:
-        _refuse_underflow(left, right)
-    return q
+    if q and cmath.isfinite(q):
+        return q
+    return _rescaled_quotient(left, right, q)
 
 
 def _classical_norm(v: complex) -> complex:

@@ -16,6 +16,7 @@ points draw each part as ``rng.uniform`` does, written out.
 
 from __future__ import annotations
 
+import cmath
 import math
 import random
 from dataclasses import dataclass
@@ -26,8 +27,8 @@ from .errors import PairMismatchError, StarDivisionError
 from .expr import (
     _DRAW_BOUND,
     Node,
-    _refuse_underflow,
     _refuse_zero_product,
+    _rescaled_quotient,
     eval_classical,
     read_at,
 )
@@ -148,23 +149,18 @@ def c_mul(z: StarComplex, w: StarComplex) -> StarComplex:
 
 def _quotient(v: complex, w: complex) -> complex:
     """v / w on raw preimages, unguarded; dividing by the additive zero
-    raises StarDivisionError, and a quotient of a nonzero v by a finite w
-    that rounds to zero raises StarUnderflowError (``expr._refuse_underflow``,
-    the pullback route's rule too).
-
-    CPython's complex division is scaled (Smith's method), so it forms
-    no square of a part of w. Its scaled denominator, the larger part of
-    w plus the smaller times their ratio, still overflows to inf when
-    both parts are near the float maximum, and the quotient then rounds
-    to zero: ``(1, 0) / (1e308, 1e308)`` is refused as an underflow
-    although its quotient (5e-309, -5e-309) is representable."""
+    raises StarDivisionError. A quotient that CPython's division gives as
+    zero, NaN or inf, such as ``(1e300, 0) / (1e308, 1e308)``, whose scaled
+    denominator overflows, goes to ``expr._rescaled_quotient``, the
+    pullback route's rule too: retried on operands scaled by powers of two,
+    or refused as an underflow."""
     try:
         q = v / w
     except ZeroDivisionError:
         raise StarDivisionError("division by the field's additive zero") from None
-    if not q:
-        _refuse_underflow(v, w)
-    return q
+    if q and cmath.isfinite(q):
+        return q
+    return _rescaled_quotient(v, w, q)
 
 
 def c_div(z: StarComplex, w: StarComplex) -> StarComplex:

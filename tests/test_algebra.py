@@ -127,6 +127,13 @@ def test_the_ideal_index_is_resolved_once_and_stays_out_of_repr_and_eq():
         replace(ideal, point=from_preimages(IE, 0.3, 0.3))
 
 
+def test_a_carrier_record_shows_its_name_and_pair():
+    # the record's functions stay out of its text
+    assert repr(scalar_algebra(IE)) == "Algebra(scalar, pair=('identity', 'exp'))"
+    dom = make_disk_domain(pair_of("exp", "exp"), 1, 4)
+    assert repr(grid_algebra(dom)) == "Algebra(grid, pair=('exp', 'exp'))"
+
+
 def test_classify_scalar_elements(pair):
     A = scalar_algebra(pair)
     herm = from_preimages(pair, 1.5, 0.0)

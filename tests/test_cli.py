@@ -174,6 +174,24 @@ def test_division_at_extreme_magnitudes(expr, want):
     assert doc["modes_agree"] is True
 
 
+# the plain complex division gives zero, NaN and inf on these; the exact
+# quotients are representable, so the division is retried and they print
+@pytest.mark.parametrize("mode", ["direct", "pullback"])
+@pytest.mark.parametrize(
+    "expr, want",
+    [
+        ("(1e300,0)/(1e308,1e308)", "(5e-09, -5e-09)"),
+        ("(1e308,1e308)/(1e308,1e308)", "(1.0, 0.0)"),
+        ("(1e308,1e308)/(1,1)", "(1e+308, 0.0)"),
+    ],
+)
+def test_a_representable_quotient_at_the_float_ends_prints(expr, want, mode):
+    code, out, err = run(["eval", "--mode", mode, expr])
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == f"value (preimages): {want}"
+    assert out.splitlines()[-1].startswith("modes agree:       yes")
+
+
 def test_invert_accepts_an_inverse_with_a_small_component():
     # 1/x = (0.6252, -0.02466): the series converges, and its error is
     # small against |1/x| but not against the second component alone
