@@ -10,22 +10,24 @@ The concrete grammar (stable, documented verbatim in the README):
 A literal ``(a, b)`` gives the two coordinates as classical preimages.
 Expressions nest at most ``MAX_NESTING`` levels deep, counted two ways.
 Each parenthesis, ``conj(``, ``norm(`` and unary minus opens one level
-of factors, which keeps the parser's recursion well inside Python's
-recursion limit. Each operator node adds one level to the tree, chained
-``+ - * /`` included. The printer and ``fold`` walk a tree without
-recursion, so they take trees built in code of any depth; the tree
-limit stays as the contract for parsed input, and bounds the one
-reading that recurses, the compiled one below.
+of factors. Each operator node adds one level to the tree, chained
+``+ - * /`` included. The parser, the printer and ``fold`` work on
+explicit stacks, so none of them recurses however deep the caller is,
+and the printer and ``fold`` take trees built in code of any depth; the
+limits stay as the contract for parsed input, and the tree limit bounds
+the one reading that recurses, the compiled one below.
 ``i`` is (0, 1), ``1`` is (1, 0), ``0`` is (0, 0). A leading '(' is a
 literal exactly when an optionally signed number followed by a comma
 comes next; otherwise it groups a subexpression.
 
-``parse_expr`` reads a well-formed ASCII text in one regex scan, a whole
-literal ``(a, b)`` as one token, and builds the tree by a recursive
-descent over that token list. Any other input (text beyond ASCII, whose
-digits and spaces only ``str`` knows, or any text with an error) goes
-to the token parser, which owns every error: a refused text raises its
-ParseError, message and offset, and a read one gives the same tree.
+``parse_expr`` is one scanner and one parser. The scanner reads the
+whole text first, so a bad number or an unexpected character is refused
+before any syntax error: a regex reads ASCII runs, a whole literal
+``(a, b)`` as one token, and ``str``'s own classes (``isspace``,
+``isdigit``, ``isalpha``, ``isalnum``) read any other character, so
+that ``(٣,0)`` is a literal and U+3000 a space. The parser climbs
+precedence over the token list and raises every ParseError, message and
+offset.
 
 This module knows nothing about generators: trees are pure data.
 ``fold`` is the one walk over a tree, iterative and in post-order; each
@@ -50,8 +52,9 @@ import math
 import operator
 import random
 import re
+import sys
 from dataclasses import dataclass
-from typing import Any, Callable, NamedTuple, Union
+from typing import Any, Callable, Union
 
 from .errors import (
     ParseError,
@@ -136,322 +139,239 @@ MAX_NESTING = 200
 
 
 # ---------------------------------------------------------------------------
-# tokenizer
+# the scanner
+
+_NUM = r"[0-9.]+(?:[eE][+-]?[0-9]+)?"
+# one token and the whitespace after it: a whole literal (group 1, with
+# sign, number, sign, number in groups 2-5), a symbol (6), a number (7)
+# or a name (8). On every code point \s is str.isspace and \w is
+# str.isalnum or "_", but \d is not str.isdigit: a number that starts or
+# goes on beyond ASCII is left to the str rules. So a number alone must
+# not be followed by a digit, a point, an exponent or a character beyond
+# ASCII, which also keeps it from backtracking to a shorter match; in a
+# literal only whitespace, "," or ")" can follow it.
+_TOKEN = re.compile(
+    rf"(?:(\(\s*([+-]?)\s*({_NUM})\s*,\s*([+-]?)\s*({_NUM})\s*\))|([()+\-*/,])"
+    rf"|({_NUM}(?![0-9.]|[^\x00-\x7f]|[eE][+-]?(?:[0-9]|[^\x00-\x7f])))"
+    rf"|([A-Za-z_]\w*))\s*"
+)
+_CALLS = ("conj", "norm")
 
 
-class _Token(NamedTuple):
-    kind: str  # "num" | "name" | "sym" | "end"
-    text: str
-    offset: int
-
-
-def _tokenize(src: str) -> list[_Token]:
-    toks: list[_Token] = []
-    i, n = 0, len(src)
-    while i < n:
-        c = src[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in "()+-*/,":
-            toks.append(_Token("sym", c, i))
-            i += 1
-            continue
-        if c.isdigit() or c == ".":
-            j = i
-            while j < n and (src[j].isdigit() or src[j] == "."):
-                j += 1
-            if j < n and src[j] in "eE":
-                k = j + 1
-                if k < n and src[k] in "+-":
+def _str_token(src: str, i: int) -> tuple[int, int]:
+    """The number (group 7) or name (8) at src[i] by the str rules, and
+    the offset past it; ParseError on any other character."""
+    c, j, n = src[i], i, len(src)
+    if c.isdigit() or c == ".":
+        while j < n and (src[j].isdigit() or src[j] == "."):
+            j += 1
+        if j < n and src[j] in "eE":
+            k = j + 1
+            if k < n and src[k] in "+-":
+                k += 1
+            if k < n and src[k].isdigit():
+                while k < n and src[k].isdigit():
                     k += 1
-                if k < n and src[k].isdigit():
-                    while k < n and src[k].isdigit():
-                        k += 1
-                    j = k
-            text = src[i:j]
+                j = k
+        return 7, j
+    if c.isalpha() or c == "_":
+        while j < n and (src[j].isalnum() or src[j] == "_"):
+            j += 1
+        return 8, j
+    raise ParseError(f"unexpected character {c!r}", i)
+
+
+_Lexeme = tuple[str, Any, int]
+
+
+def _lex(src: str) -> list[_Lexeme]:
+    """The whole text as (kind, text, offset) tokens, so that a bad
+    number or an unexpected character is refused before any syntax
+    error. A kind is the symbol itself, "num", "name", "lit" or "end",
+    and the list ends in two "end" tokens. A literal ``(a, b)`` with
+    finite parts is one "lit" token, its Lit in place of its text, at the
+    offset of its "("; the "(" right after ``conj`` or ``norm`` is theirs,
+    and is read alone."""
+    toks: list[_Lexeme] = []
+    append, match, pos, n = toks.append, _TOKEN.match, 0, len(src)
+    while pos < n:
+        m = match(src, pos)
+        if m is None:
+            if src[pos].isspace():
+                pos += 1
+                continue
+            i = pos
+            kind, pos = _str_token(src, i)
+            text = src[i:pos]
+        else:
+            i, pos, kind = pos, m.end(), m.lastindex
+            if kind == 1:
+                try:
+                    a, b = float(m[3]), float(m[5])
+                except ValueError:  # refused below, as a bad number
+                    a = b = math.inf
+                if math.isfinite(a) and math.isfinite(b):
+                    lit = Lit(-a if m[2] == "-" else a, -b if m[4] == "-" else b)
+                    append(("lit", lit, i))
+                else:  # its "(" alone, and the rest token by token
+                    append(("(", "(", i))
+                    pos = i + 1
+                continue
+            text = m[kind]
+        if kind == 6:
+            append((text, text, i))
+        elif kind == 7:
             try:
                 float(text)
             except ValueError:
                 raise ParseError(f"bad number {text!r}", i) from None
-            toks.append(_Token("num", text, i))
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            toks.append(_Token("name", src[i:j], i))
-            i = j
-            continue
-        raise ParseError(f"unexpected character {c!r}", i)
-    toks.append(_Token("end", "", n))
-    return toks
-
-
-# ---------------------------------------------------------------------------
-# recursive-descent parser
-
-
-class _Parser:
-    def __init__(self, src: str):
-        self.toks = _tokenize(src)
-        self.pos = 0
-        self.depth = 0
-
-    def peek(self, ahead: int = 0) -> _Token:
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
-
-    def next(self) -> _Token:
-        t = self.toks[self.pos]
-        if t.kind != "end":
-            self.pos += 1
-        return t
-
-    def expect_sym(self, sym: str) -> _Token:
-        t = self.next()
-        if t.kind != "sym" or t.text != sym:
-            got = repr(t.text) if t.kind != "end" else "end of input"
-            raise ParseError(f"expected {sym!r}, got {got}", t.offset)
-        return t
-
-    # literal lookahead: after '(' comes [sign] number ','
-    def _literal_ahead(self) -> bool:
-        k = 1
-        t = self.peek(k)
-        if t.kind == "sym" and t.text in "+-":
-            k += 1
-            t = self.peek(k)
-        if t.kind != "num":
-            return False
-        t = self.peek(k + 1)
-        return t.kind == "sym" and t.text == ","
-
-    def _signed_number(self) -> float:
-        sign = 1.0
-        t = self.peek()
-        if t.kind == "sym" and t.text in "+-":
-            self.next()
-            sign = -1.0 if t.text == "-" else 1.0
-        t = self.next()
-        if t.kind != "num":
-            raise ParseError("expected a number", t.offset)
-        v = sign * float(t.text)
-        if not math.isfinite(v):
-            raise ParseError(f"literal component {t.text!r} overflows", t.offset)
-        return v
-
-    def parse(self) -> Node:
-        node, _ = self.expr()
-        t = self.peek()
-        if t.kind != "end":
-            raise ParseError(f"unexpected {t.text!r} after the expression", t.offset)
-        return node
-
-    # Each method below returns a subtree and its depth in operator nodes.
-
-    def _level(self, depth: int, t: _Token) -> int:
-        """depth itself, or ParseError at t past MAX_NESTING."""
-        if depth > MAX_NESTING:
-            raise ParseError(
-                f"expression nested more than {MAX_NESTING} levels deep", t.offset
-            )
-        return depth
-
-    def expr(self, level: int = 0) -> tuple[Node, int]:
-        """A left-associative chain of the operators of one precedence
-        level, whose operands are the next level's, or factors after the
-        last. Each operand is parsed by a direct call, with no wrapper,
-        so that a nesting level costs as few Python frames as it can."""
-        syms = _PRECEDENCE[level]
-        last = level + 1 == len(_PRECEDENCE)
-        node, d = self.factor() if last else self.expr(level + 1)
-        while True:
-            t = self.peek()
-            if t.kind == "sym" and t.text in syms:
-                self.next()
-                right, rd = self.factor() if last else self.expr(level + 1)
-                node = Binary(_SYM_OPS[t.text], node, right)
-                d = self._level(1 + max(d, rd), t)
-            else:
-                return node, d
-
-    def factor(self) -> tuple[Node, int]:
-        t = self.peek()
-        # bounds the parser's own recursion, which parentheses deepen
-        # without adding tree nodes
-        self.depth = self._level(self.depth + 1, t)
-        node = self._factor(t)
-        self.depth -= 1
-        return node
-
-    def _factor(self, t: _Token) -> tuple[Node, int]:
-        if t.kind == "sym" and t.text == "(":
-            if self._literal_ahead():
-                self.next()
-                a = self._signed_number()
-                self.expect_sym(",")
-                b = self._signed_number()
-                self.expect_sym(")")
-                return Lit(a, b), 0
-            self.next()
-            node = self.expr()
-            self.expect_sym(")")
-            return node
-        if t.kind == "sym" and t.text == "-":
-            self.next()
-            child, d = self.factor()
-            return Unary("neg", child), self._level(d + 1, t)
-        if t.kind == "num":
-            self.next()
-            if t.text == "1":
-                return Lit(1.0, 0.0), 0
-            if t.text == "0":
-                return Lit(0.0, 0.0), 0
-            raise ParseError(
-                f"bare number {t.text!r} is not a factor;"
-                " write a literal pair like (a, b)",
-                t.offset,
-            )
-        if t.kind == "name":
-            self.next()
-            if t.text == "z":
-                return Var(), 0
-            if t.text == "i":
-                return Lit(0.0, 1.0), 0
-            if t.text in ("conj", "norm"):
-                self.expect_sym("(")
-                child, d = self.expr()
-                self.expect_sym(")")
-                return Unary(t.text, child), self._level(d + 1, t)
-            raise ParseError(f"unknown name {t.text!r}", t.offset)
-        got = repr(t.text) if t.kind != "end" else "end of input"
-        raise ParseError(f"expected a factor, got {got}", t.offset)
-
-
-# ---------------------------------------------------------------------------
-# the fast path: a well-formed ASCII text in one scan
-
-_NUM = r"[0-9.]+(?:[eE][+-]?[0-9]+)?"
-# one token and the whitespace around it: a whole literal (groups 1-4:
-# sign, number, sign, number), a symbol (5), a number (6) or a name (7).
-# On ASCII text these are the tokenizer's classes, \s included.
-_TOKEN = re.compile(
-    rf"\s*(?:\(\s*([+-]?)\s*({_NUM})\s*,\s*([+-]?)\s*({_NUM})\s*\)"
-    rf"|([()+\-*/])|({_NUM})|([A-Za-z_][A-Za-z0-9_]*))\s*"
-)
-
-
-class _Slow(Exception):
-    """The text is not for the fast path: the token parser reads it."""
-
-
-def _scan(src: str) -> list[Any]:
-    """The text as a flat token list ending in "": a leaf as its node, a
-    symbol or ``conj``/``norm`` as its text. _Slow on any text the token
-    parser would refuse here; ValueError on a bad number."""
-    toks: list[Any] = []
-    match, pos, n = _TOKEN.match, 0, len(src)
-    while pos < n:
-        m = match(src, pos)
-        if m is None:
-            raise _Slow
-        pos = m.end()
-        kind = m.lastindex
-        if kind == 4:
-            a, b = float(m[2]), float(m[4])
-            if not (math.isfinite(a) and math.isfinite(b)):
-                raise _Slow
-            toks.append(Lit(-a if m[1] == "-" else a, -b if m[3] == "-" else b))
-        elif kind == 5:
-            toks.append(m[5])
+            append(("num", text, i))
         else:
-            t = m[kind]
-            if t == "z":
-                toks.append(Var())
-            elif t == "i":
-                toks.append(Lit(0.0, 1.0))
-            elif t == "1":
-                toks.append(Lit(1.0, 0.0))
-            elif t == "0":
-                toks.append(Lit(0.0, 0.0))
-            elif t == "conj" or t == "norm":
-                toks.append(t)
-            else:  # a bare number or an unknown name
-                raise _Slow
-    toks.append("")
-    return toks
-
-
-def _read(src: str) -> Node:
-    """The tree of a well-formed ASCII text, by recursive descent over
-    ``_scan``'s tokens with both nesting limits; _Slow (or ValueError)
-    where the token parser would raise. A nesting level costs at most
-    two frames here, against the token parser's four."""
-    toks = _scan(src)
-    pos = 0
-
-    def expr(nest: int) -> tuple[Node, int]:
-        # terms joined by + and -, each term factors joined by * and /,
-        # both left-associative; returns the subtree and its depth in
-        # operator nodes
-        nonlocal pos
-        left = None
-        while True:
-            node, d = factor(nest + 1)
-            while (t := toks[pos]) == "*" or t == "/":
+            append(("name", text, i))
+            # conj and norm are the regex's, which reads the whitespace
+            # after them too, so their "(" is at pos
+            if text in _CALLS and src.startswith("(", pos):
+                append(("(", "(", pos))
                 pos += 1
-                right, rd = factor(nest + 1)
-                node, d = Binary(_SYM_OPS[t], node, right), 1 + max(d, rd)
-            if left is not None:
-                node, d = Binary(op, left, node), 1 + max(ld, d)
-            if t != "+" and t != "-":
-                return node, d
-            pos += 1
-            op, left, ld = _SYM_OPS[t], node, d
+    toks += [("end", "", n)] * 2
+    return toks
 
-    def factor(nest: int) -> tuple[Node, int]:
-        nonlocal pos
-        if nest > MAX_NESTING:
-            raise _Slow
-        t = toks[pos]
+
+# ---------------------------------------------------------------------------
+# the parser
+
+# each binary operator's precedence level, the index of its group
+_LEVEL = {sym: level for level, syms in enumerate(_PRECEDENCE) for sym in syms}
+
+
+def _got(tok: _Lexeme) -> str:
+    kind, text, _ = tok
+    return "end of input" if kind == "end" else repr("(" if kind == "lit" else text)
+
+
+def _expect(tok: _Lexeme, sym: str) -> None:
+    if tok[0] != sym:
+        raise ParseError(f"expected {sym!r}, got {_got(tok)}", tok[2])
+
+
+def _too_deep(offset: int) -> ParseError:
+    return ParseError(f"expression nested more than {MAX_NESTING} levels deep", offset)
+
+
+def _component(toks: list[_Lexeme], pos: int) -> tuple[float, int]:
+    """The optionally signed number at toks[pos], and the position past it."""
+    kind, text, offset = toks[pos]
+    sign = 1.0
+    if kind == "+" or kind == "-":
+        sign = -1.0 if kind == "-" else 1.0
         pos += 1
-        if t.__class__ is not str:
-            return t, 0
-        if t == "(":
-            node, d = expr(nest)
-        elif t == "-":
-            child, d = factor(nest + 1)
-            return Unary("neg", child), d + 1
-        elif t in ("conj", "norm") and toks[pos] == "(":
+        kind, text, offset = toks[pos]
+    if kind != "num":
+        raise ParseError("expected a number", offset)
+    v = sign * float(text)
+    if not math.isfinite(v):
+        raise ParseError(f"literal component {text!r} overflows", offset)
+    return v, pos + 1
+
+
+def _parse(toks: list[_Lexeme]) -> Node:
+    """The tree of a scanned text, by precedence climbing on explicit
+    stacks, with no Python frame per nesting level.
+
+    ``opened`` holds the factors still open, innermost last: a group, a
+    ``conj(`` or ``norm(``, each with the chain it interrupts, and a unary
+    minus. ``chain`` holds the current expression's operands still
+    waiting for their right side, with their operators. Both limits are
+    checked at the tokens a recursive descent would check them at: the
+    factor count at each factor's first token, a tree depth at the
+    operator, minus, ``conj`` or ``norm`` token of the node built."""
+    limit, level_of = MAX_NESTING, _LEVEL.get
+    opened: list[tuple[str, int, list]] = []
+    chain: list[tuple[Node, int, int, str, int]] = []  # left, depth, level, op, offset
+    pos = 0
+    while True:
+        # a factor starts at toks[pos]
+        kind, text, offset = toks[pos]
+        if len(opened) >= limit:
+            raise _too_deep(offset)
+        pos += 1
+        if kind == "lit":
+            node = text
+        elif kind == "name":
+            if text == "z":
+                node = Var()
+            elif text == "i":
+                node = Lit(0.0, 1.0)
+            elif text in _CALLS:
+                _expect(toks[pos], "(")
+                pos += 1
+                opened.append((text, offset, chain))
+                chain = []
+                continue
+            else:
+                raise ParseError(f"unknown name {text!r}", offset)
+        elif kind == "(":
+            # a literal exactly when an optionally signed number and a
+            # comma come next
+            j = pos + 1 if toks[pos][0] in ("+", "-") else pos
+            if toks[j][0] != "num" or toks[j + 1][0] != ",":
+                opened.append(("(", offset, chain))
+                chain = []
+                continue
+            a, pos = _component(toks, pos)
+            b, pos = _component(toks, pos + 1)
+            _expect(toks[pos], ")")
             pos += 1
-            child, d = expr(nest)
-            node, d = Unary(t, child), d + 1
+            node = Lit(a, b)
+        elif kind == "-":
+            opened.append(("neg", offset, chain))
+            continue
+        elif kind == "num" and (text == "1" or text == "0"):
+            node = Lit(1.0 if text == "1" else 0.0, 0.0)
+        elif kind == "num":
+            raise ParseError(
+                f"bare number {text!r} is not a factor;"
+                " write a literal pair like (a, b)",
+                offset,
+            )
         else:
-            raise _Slow
-        if toks[pos] != ")":
-            raise _Slow
-        pos += 1
-        return node, d
-
-    node, depth = expr(0)
-    # the tree's depth bounds that of every subtree
-    if pos != len(toks) - 1 or depth > MAX_NESTING:
-        raise _Slow
-    return node
+            raise ParseError(f"expected a factor, got {_got(toks[pos - 1])}", offset)
+        depth = 0
+        # the factor is read: close what it completes
+        while True:
+            while opened and opened[-1][0] == "neg":
+                node, depth = Unary("neg", node), depth + 1
+                if depth > limit:
+                    raise _too_deep(opened[-1][1])
+                opened.pop()
+            kind, text, offset = toks[pos]
+            level = level_of(kind)
+            while chain and (level is None or chain[-1][2] >= level):
+                left, left_depth, _, op, op_offset = chain.pop()
+                node, depth = Binary(op, left, node), 1 + max(left_depth, depth)
+                if depth > limit:
+                    raise _too_deep(op_offset)
+            if level is not None:
+                chain.append((node, depth, level, _SYM_OPS[kind], offset))
+                pos += 1
+                break
+            if not opened:
+                if kind != "end":
+                    got = _got(toks[pos])
+                    raise ParseError(f"unexpected {got} after the expression", offset)
+                return node
+            _expect(toks[pos], ")")
+            pos += 1
+            call, call_offset, chain = opened.pop()
+            if call != "(":
+                node, depth = Unary(call, node), depth + 1
+                if depth > limit:
+                    raise _too_deep(call_offset)
 
 
 def parse_expr(src: str) -> Node:
-    """Parse the grammar above into a tree; raises ParseError with offset.
-
-    A well-formed ASCII text is read in one scan; any other text goes to
-    the token parser, which owns every error."""
-    if src.isascii():
-        try:
-            return _read(src)
-        except (_Slow, ValueError):
-            pass
-    return _Parser(src).parse()
+    """Parse the grammar above into a tree; raises ParseError with offset."""
+    return _parse(_lex(src))
 
 
 # ---------------------------------------------------------------------------
@@ -660,13 +580,19 @@ def _ldexp(z: complex, k: int) -> complex:
     return complex(math.ldexp(z.real, k), math.ldexp(z.imag, k))
 
 
+# a divisor whose parts are both below this is divided on rescaled operands
+_MIN_NORMAL = sys.float_info.min
+
+
 def _rescaled_quotient(v: complex, w: complex, q: complex) -> complex:
     """Called with a quotient q = v / w by a nonzero w that came out zero,
-    NaN or infinite; the one retry and underflow rule under both routes'
-    division.
+    NaN or infinite, or by a w whose parts are both below _MIN_NORMAL;
+    the one retry and underflow rule under both routes' division.
 
     Complex division overflows or underflows an intermediate at the ends
-    of the float range, though the quotient may be representable. So, for
+    of the float range, though the quotient may be representable, and by
+    a subnormal w it rounds a subnormal intermediate: the plain quotient
+    of (0, 8.371095235526037e-65) by (5e-324, 2e-323) is 6% off. So, for
     a nonzero v and a finite w, divide again with v and w each scaled by a
     power of two that puts its larger part in [0.5, 1), and scale the
     parts back; each scaling is exact up to a part far below the larger.
@@ -690,7 +616,9 @@ def _classical_div(left: complex, right: complex) -> complex:
     if right == 0:
         raise StarDivisionError("division by zero")
     q = left / right
-    if q and cmath.isfinite(q):
+    if q and cmath.isfinite(q) and (
+        abs(right.real) >= _MIN_NORMAL or abs(right.imag) >= _MIN_NORMAL
+    ):
         return q
     return _rescaled_quotient(left, right, q)
 

@@ -26,6 +26,7 @@ from typing import Callable
 from .errors import PairMismatchError, StarDivisionError
 from .expr import (
     _DRAW_BOUND,
+    _MIN_NORMAL,
     Node,
     _refuse_zero_product,
     _rescaled_quotient,
@@ -151,14 +152,17 @@ def _quotient(v: complex, w: complex) -> complex:
     """v / w on raw preimages, unguarded; dividing by the additive zero
     raises StarDivisionError. A quotient that CPython's division gives as
     zero, NaN or inf, such as ``(1e300, 0) / (1e308, 1e308)``, whose scaled
-    denominator overflows, goes to ``expr._rescaled_quotient``, the
-    pullback route's rule too: retried on operands scaled by powers of two,
-    or refused as an underflow."""
+    denominator overflows, or any quotient by a w whose parts are both
+    subnormal, goes to ``expr._rescaled_quotient``, the pullback route's
+    rule too: retried on operands scaled by powers of two, or refused as
+    an underflow."""
     try:
         q = v / w
     except ZeroDivisionError:
         raise StarDivisionError("division by the field's additive zero") from None
-    if q and cmath.isfinite(q):
+    if q and cmath.isfinite(q) and (
+        abs(w.real) >= _MIN_NORMAL or abs(w.imag) >= _MIN_NORMAL
+    ):
         return q
     return _rescaled_quotient(v, w, q)
 
