@@ -22,7 +22,7 @@ from .errors import (
     MissingUnitError,
     StarUnderflowError,
 )
-from .expr import _refuse_zero_product
+from .expr import _product
 from .generators import GeneratorPair, guard, guard_points
 from .star_complex import (
     StarComplex,
@@ -382,9 +382,10 @@ def _refuse_zero_products(
     qs: tuple[complex, ...], vs: tuple[complex, ...], ws: tuple[complex, ...]
 ) -> None:
     """Called with products qs of vs and ws point by point, some zero: the
-    one product rule (``expr._refuse_zero_product``) at each zero of qs,
-    in point order, naming the point as ``guard_points`` does. ``index``
-    walks from zero to zero, so no point is looped over in Python."""
+    field's one product rule (``expr._product``) on the operands of each
+    zero of qs, in point order, naming the point as ``guard_points``
+    does. ``index`` walks from zero to zero, so no point is looped over in
+    Python."""
     i = -1
     while True:
         try:
@@ -392,7 +393,7 @@ def _refuse_zero_products(
         except ValueError:  # no zero after i
             return
         try:
-            _refuse_zero_product(vs[i], ws[i])
+            _product(vs[i], ws[i])
         except StarUnderflowError as e:
             raise StarUnderflowError(f"{e} at point {i}") from None
 

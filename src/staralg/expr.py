@@ -36,6 +36,10 @@ printer ``to_text`` is one, ``eval_classical`` over the ordinary complex
 numbers (the pullback route) is another, and the direct route lives in
 star_complex. Node ``==`` and ``hash`` compare the same post-orders.
 
+The field's two rounding rules live here, ``_product`` and ``_divide``,
+under both routes and star_complex's ``c_mul`` and ``c_div``: each
+computes its result, decides whether the rule fires and refuses.
+
 Both routes read a tree at a point z through ``read_at``. With z bound,
 the tree is folded once into one function of z for that op table (its
 literals read once, its subtrees without z evaluated once), kept for the
@@ -558,21 +562,16 @@ def read_at(
 
 
 # ---------------------------------------------------------------------------
-# classical interpretation (the pullback route)
+# the field's two rounding rules, under both routes and c_mul, c_div
 
 
-def _refuse_zero_product(v: complex, w: complex) -> None:
-    """Called with a product v * w that came out zero: StarUnderflowError
-    when v and w are both nonzero, since the field has no zero divisors.
-    The one product rule, under both routes' multiplication and c_mul."""
-    if v and w:
+def _product(v: complex, w: complex) -> complex:
+    """v * w: the field's one product rule, under c_mul, both routes'
+    mul and the grid products. A product of nonzero points that rounds to
+    zero raises StarUnderflowError, since the field has no zero divisors."""
+    q = v * w
+    if not q and v and w:
         raise StarUnderflowError("the product of nonzero points underflows to zero")
-
-
-def _classical_mul(left: complex, right: complex) -> complex:
-    q = left * right
-    if not q:
-        _refuse_zero_product(left, right)
     return q
 
 
@@ -580,24 +579,33 @@ def _ldexp(z: complex, k: int) -> complex:
     return complex(math.ldexp(z.real, k), math.ldexp(z.imag, k))
 
 
-# a divisor whose parts are both below this is divided on rescaled operands
+# an operand whose parts are both below this is divided on rescaled operands
 _MIN_NORMAL = sys.float_info.min
 
 
-def _rescaled_quotient(v: complex, w: complex, q: complex) -> complex:
-    """Called with a quotient q = v / w by a nonzero w that came out zero,
-    NaN or infinite, or by a w whose parts are both below _MIN_NORMAL;
-    the one retry and underflow rule under both routes' division.
+def _divide(v: complex, w: complex) -> complex:
+    """v / w by a nonzero w: the field's one quotient rule, under c_div
+    and both routes' div, each of which refuses a zero w in its own words.
 
     Complex division overflows or underflows an intermediate at the ends
-    of the float range, though the quotient may be representable, and by
-    a subnormal w it rounds a subnormal intermediate: the plain quotient
-    of (0, 8.371095235526037e-65) by (5e-324, 2e-323) is 6% off. So, for
-    a nonzero v and a finite w, divide again with v and w each scaled by a
-    power of two that puts its larger part in [0.5, 1), and scale the
-    parts back; each scaling is exact up to a part far below the larger.
-    A finite nonzero retry is kept. Otherwise q stands, and a q of zero
-    raises StarUnderflowError, since the exact quotient is nonzero."""
+    of the float range, though the quotient may be representable, and
+    with an operand whose parts are both subnormal it rounds a subnormal
+    intermediate: the plain quotient of (0, 8.371095235526037e-65) by
+    (5e-324, 2e-323) is 6% off, and that of (1e-323, 5e-324) by
+    (-2.2185844075217563e-278, -9.475570601166854e-277) 4.5%. So the
+    plain quotient is kept only when it is finite and nonzero and v and w
+    each have a part at least _MIN_NORMAL. Otherwise, for a nonzero v and
+    a finite w, divide again with v and w each scaled by a power of two
+    that puts its larger part in [0.5, 1), and scale the parts back; each
+    scaling is exact up to a part far below the larger. A finite nonzero
+    retry is kept. Otherwise the plain quotient stands, and a plain
+    quotient of zero raises StarUnderflowError, since the exact quotient
+    is nonzero."""
+    q = v / w
+    if q and cmath.isfinite(q) and (
+        abs(w.real) >= _MIN_NORMAL or abs(w.imag) >= _MIN_NORMAL
+    ) and (abs(v.real) >= _MIN_NORMAL or abs(v.imag) >= _MIN_NORMAL):
+        return q
     if v and cmath.isfinite(v) and cmath.isfinite(w):
         kv = math.frexp(max(abs(v.real), abs(v.imag)))[1]
         kw = math.frexp(max(abs(w.real), abs(w.imag)))[1]
@@ -612,15 +620,14 @@ def _rescaled_quotient(v: complex, w: complex, q: complex) -> complex:
     return q
 
 
+# ---------------------------------------------------------------------------
+# classical interpretation (the pullback route)
+
+
 def _classical_div(left: complex, right: complex) -> complex:
     if right == 0:
         raise StarDivisionError("division by zero")
-    q = left / right
-    if q and cmath.isfinite(q) and (
-        abs(right.real) >= _MIN_NORMAL or abs(right.imag) >= _MIN_NORMAL
-    ):
-        return q
-    return _rescaled_quotient(left, right, q)
+    return _divide(left, right)
 
 
 def _classical_norm(v: complex) -> complex:
@@ -636,7 +643,7 @@ def _classical_norm(v: complex) -> complex:
 _CLASSICAL_OPS = {
     "add": operator.add,
     "sub": operator.sub,
-    "mul": _classical_mul,
+    "mul": _product,
     "div": _classical_div,
     "neg": operator.neg,
     "conj": complex.conjugate,

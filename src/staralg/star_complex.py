@@ -16,7 +16,6 @@ points draw each part as ``rng.uniform`` does, written out.
 
 from __future__ import annotations
 
-import cmath
 import math
 import random
 from dataclasses import dataclass
@@ -26,10 +25,9 @@ from typing import Callable
 from .errors import PairMismatchError, StarDivisionError
 from .expr import (
     _DRAW_BOUND,
-    _MIN_NORMAL,
     Node,
-    _refuse_zero_product,
-    _rescaled_quotient,
+    _divide,
+    _product,
     eval_classical,
     read_at,
 )
@@ -138,39 +136,27 @@ def c_neg(z: StarComplex) -> StarComplex:
 
 
 def c_mul(z: StarComplex, w: StarComplex) -> StarComplex:
-    """Product: the classical complex product on preimages. A product of
-    nonzero points that rounds to zero raises StarUnderflowError
-    (``expr._refuse_zero_product``)."""
+    """Product: the classical complex product on preimages, by the
+    field's one product rule ``expr._product``, so a product of nonzero
+    points that rounds to zero raises StarUnderflowError."""
     _same_pair(z.pair, w.pair)
-    q = z.value * w.value
-    if not q:
-        _refuse_zero_product(z.value, w.value)
-    return StarComplex(z.pair, z.pair.check(q))
+    return StarComplex(z.pair, z.pair.check(_product(z.value, w.value)))
 
 
 def _quotient(v: complex, w: complex) -> complex:
-    """v / w on raw preimages, unguarded; dividing by the additive zero
-    raises StarDivisionError. A quotient that CPython's division gives as
-    zero, NaN or inf, such as ``(1e300, 0) / (1e308, 1e308)``, whose scaled
-    denominator overflows, or any quotient by a w whose parts are both
-    subnormal, goes to ``expr._rescaled_quotient``, the pullback route's
-    rule too: retried on operands scaled by powers of two, or refused as
-    an underflow."""
-    try:
-        q = v / w
-    except ZeroDivisionError:
-        raise StarDivisionError("division by the field's additive zero") from None
-    if q and cmath.isfinite(q) and (
-        abs(w.real) >= _MIN_NORMAL or abs(w.imag) >= _MIN_NORMAL
-    ):
-        return q
-    return _rescaled_quotient(v, w, q)
+    """v / w on raw preimages, unguarded, under c_div and the direct
+    route's div: dividing by the additive zero raises StarDivisionError,
+    and any other quotient is the field's one quotient rule
+    ``expr._divide``, the pullback route's too."""
+    if not w:
+        raise StarDivisionError("division by the field's additive zero")
+    return _divide(v, w)
 
 
 def c_div(z: StarComplex, w: StarComplex) -> StarComplex:
-    """Quotient; dividing by the additive zero raises StarDivisionError,
-    and a nonzero quotient that rounds to zero raises StarUnderflowError
-    (see ``_quotient``)."""
+    """Quotient, by ``_quotient``: dividing by the additive zero raises
+    StarDivisionError, and a quotient of a nonzero point that rounds to
+    zero, even on rescaled operands, raises StarUnderflowError."""
     _same_pair(z.pair, w.pair)
     return StarComplex(z.pair, z.pair.check(_quotient(z.value, w.value)))
 
@@ -221,16 +207,10 @@ def _direct_ops(pair: GeneratorPair) -> dict[str, Callable]:
         # subexpression then sits on the real axis
         return check(complex(guard(beta, math.hypot(v.real, v.imag)), 0.0))
 
-    def mul(v: complex, w: complex) -> complex:
-        q = v * w
-        if not q:
-            _refuse_zero_product(v, w)
-        return check(q)
-
     return {
         "add": lambda v, w: check(v + w),
         "sub": lambda v, w: check(v - w),
-        "mul": mul,
+        "mul": lambda v, w: check(_product(v, w)),
         "div": lambda v, w: check(_quotient(v, w)),
         "conj": lambda v: check(v.conjugate()),
         # the guarded zero minus v, as c_neg, so that signed zeros come

@@ -192,6 +192,19 @@ def test_a_representable_quotient_at_the_float_ends_prints(expr, want, mode):
     assert out.splitlines()[-1].startswith("modes agree:       yes")
 
 
+@pytest.mark.parametrize("mode", ["direct", "pullback"])
+def test_a_subnormal_numerator_is_divided_on_rescaled_operands(mode):
+    # the plain division forms the numerator's combination in the
+    # subnormal range and prints -5.211242329389614e-48, 4.5% off the
+    # exact quotient of the stored preimages
+    expr = "(1e-323,5e-324)/(-2.2185844075217563e-278,-9.475570601166854e-277)"
+    code, out, err = run(["eval", "--json", "--mode", mode, expr])
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["value"]["a_preimage"] == -5.4552715591307207e-48
+    assert doc["modes_agree"] is True
+
+
 def test_invert_accepts_an_inverse_with_a_small_component():
     # 1/x = (0.6252, -0.02466): the series converges, and its error is
     # small against |1/x| but not against the second component alone

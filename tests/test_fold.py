@@ -6,11 +6,14 @@ fold, kept as the reference: the fold must give the same text, the same
 values to the bit and the same errors, naming the same subterm. The
 classical walker has since gained the two rules the routes added after
 the fold, the refusal of a nonzero quotient or product that rounds to
-zero.
+zero, and the retry on rescaled operands of a quotient whose plain
+division cannot be kept.
 """
 
+import cmath
 import math
 import random
+import sys
 import time
 
 import pytest
@@ -110,7 +113,26 @@ def ref_eval_classical(node, z=None):
     if right == 0:
         raise StarDivisionError("division by zero")
     q = left / right
-    if not q and left and math.isfinite(right.real) and math.isfinite(right.imag):
+    tiny = sys.float_info.min
+    if q and cmath.isfinite(q) and (
+        abs(left.real) >= tiny or abs(left.imag) >= tiny
+    ) and (abs(right.real) >= tiny or abs(right.imag) >= tiny):
+        return q
+    if not (left and cmath.isfinite(left) and cmath.isfinite(right)):
+        return q
+    # divide again with each operand's larger part scaled into [0.5, 1)
+    kl = math.frexp(max(abs(left.real), abs(left.imag)))[1]
+    kr = math.frexp(max(abs(right.real), abs(right.imag)))[1]
+    u = complex(math.ldexp(left.real, -kl), math.ldexp(left.imag, -kl))
+    v = complex(math.ldexp(right.real, -kr), math.ldexp(right.imag, -kr))
+    s = u / v
+    try:
+        s = complex(math.ldexp(s.real, kl - kr), math.ldexp(s.imag, kl - kr))
+    except OverflowError:
+        s = 0j
+    if s:
+        return s
+    if not q:
         raise StarUnderflowError("the quotient of a nonzero point underflows to zero")
     return q
 

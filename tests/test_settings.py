@@ -3,7 +3,8 @@
 A library parameter that only one value was ever passed for is a
 constant, and a subcommand takes only the options its command reads: an
 option it does not read is a usage error (exit 2), not silently ignored.
-A public name that nothing read is gone from the package.
+A public name that nothing read is gone from the package, and each of
+the field's rounding rules has one home.
 """
 
 import contextlib
@@ -63,6 +64,11 @@ ALGEBRA_FIELDS = [
 ]
 RETIRED_FIELDS = ["norm", "fused_norm", "fused_distance"]
 
+# the helpers that held a rounding rule's action while each caller
+# decided when it fired; ``expr._product`` and ``expr._divide`` now
+# compute, decide and refuse for every caller
+RETIRED_RULE_HOMES = ["_refuse_zero_product", "_rescaled_quotient", "_classical_mul"]
+
 # the options each subcommand reads, besides -h/--help
 OPTIONS = {
     "eval": {"--alpha", "--beta", "--mode", "--tol", "--json"},
@@ -112,6 +118,16 @@ def test_the_carrier_record_holds_its_own_norm_reading():
     assert not {f.name for f in fields} & set(RETIRED_FIELDS)
     assert [f.name for f in fields if f.init] == ALGEBRA_FIELDS
     assert not hasattr(staralg.Algebra, "__post_init__")
+
+
+@pytest.mark.parametrize("name", RETIRED_RULE_HOMES)
+def test_a_retired_rule_home_is_gone(name):
+    assert not hasattr(staralg.expr, name)
+
+
+def test_each_rounding_rule_has_one_home():
+    assert staralg.expr._CLASSICAL_OPS["mul"] is staralg.expr._product
+    assert not hasattr(staralg.star_complex, "_MIN_NORMAL")
 
 
 @pytest.mark.parametrize("argv", RETIRED_FLAGS, ids=" ".join)
