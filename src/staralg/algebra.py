@@ -1,6 +1,5 @@
 """Concrete carriers: the scalar field and finite-grid function algebras,
-with evaluation ideals, element classification, and the ideal subset
-spec that the closure check in axiom_harness audits.
+with evaluation ideals and element classification.
 
 An Algebra is a plain record of operations over one generator pair. The
 axiom harness, the series inverters, and the morphism checks only ever
@@ -62,8 +61,6 @@ __all__ = [
     "ElementClass",
     "classify_element",
     "hermitian_parts",
-    "SubsetSpec",
-    "ideal_subset",
 ]
 
 
@@ -566,43 +563,3 @@ def hermitian_parts(A: Algebra, x: Any) -> tuple[Any, Any]:
     u = A.scalar_mul(half, A.add(x, xs))
     v = A.scalar_mul(inv_two_i, A.sub(x, xs))
     return u, v
-
-
-# ---------------------------------------------------------------------------
-# subsets, for the closure check in axiom_harness
-
-
-@dataclass(frozen=True)
-class SubsetSpec:
-    """A subset of a carrier, given extensionally.
-
-    ``contains(x, tol)`` is the membership predicate. ``sample_member``
-    must produce members directly: rejection sampling cannot hit
-    measure-zero subsets such as an ideal. ``star_closed`` asks the
-    closure check to also audit the involution.
-    """
-
-    name: str
-    contains: Callable[[Any, float], bool]
-    sample_member: Callable[[random.Random], Any]
-    star_closed: bool = False
-
-
-def ideal_subset(I: EvaluationIdeal) -> SubsetSpec:
-    """Functions vanishing at the ideal's base point."""
-
-    def contains(f: GridFunction, tol: float) -> bool:
-        return ideal_membership(I, f, tol)
-
-    def sample_member(rng: random.Random) -> GridFunction:
-        raw = _draw(rng, len(I.domain), _DRAW_BOUND)
-        base = raw[I.index]
-        # shifting by the base-point value lands exactly in the ideal
-        return GridFunction.of_preimages(I.domain, tuple(v - base for v in raw))
-
-    return SubsetSpec(
-        name="functions vanishing at the base point",
-        contains=contains,
-        sample_member=sample_member,
-        star_closed=True,
-    )

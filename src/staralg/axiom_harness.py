@@ -1,12 +1,11 @@
 """Randomized law checking for carriers over a generator pair.
 
 ``_run_trials`` is the one trial runner, for the six suites (field,
-vector-space, norm, normed-algebra, involution, c-star), the
-subset-closure check and the checks in morphisms. Each law is evaluated
-on fresh random tuples every trial and returns its residual and the
-operands it drew; the report carries the worst normalized residual and
-the first counterexample, whose operands alone the runner renders
-(preimages only). The suites are one table of named laws; only what
+vector-space, norm, normed-algebra, involution, c-star) and the checks
+in morphisms. Each law is evaluated on fresh random tuples every trial
+and returns its residual and the operands it drew; the report carries
+the worst normalized residual and the first counterexample, whose
+operands alone the runner renders (preimages only). The suites are one table of named laws; only what
 depends on the carrier is decided when a suite is assembled. Residuals
 are scaled by max(1, operand magnitude) in ``_scaled``, so the
 tolerance reads as absolute near zero and relative at scale.
@@ -25,7 +24,6 @@ from typing import Any, Callable
 from .algebra import (
     Algebra,
     GridFunction,
-    SubsetSpec,
     _draw,
     make_disk_domain,
 )
@@ -54,7 +52,6 @@ from .star_real import from_preimage, one_of
 __all__ = [
     "SUITES",
     "run_axiom_suite",
-    "subalgebra_closure_check",
     "random_sample",
     "broken_zero",
     "broken_norm",
@@ -500,66 +497,6 @@ def run_axiom_suite(
     laws, notes = _suite_laws(suite, A)
     bound = [(name, lambda rng, law=law: law(A, rng, tol)) for name, law in laws]
     return _run_trials(bound, suite, A, trials, tol, seed, tuple(notes))
-
-
-def subalgebra_closure_check(
-    A: Algebra,
-    subset: SubsetSpec,
-    trials: int = 500,
-    tol: float = 1e-9,
-    seed: int = 0,
-) -> AxiomReport:
-    """Audit that a subset is closed under the carrier's operations.
-
-    Checks the zero, the sampler's own consistency, and closure under
-    addition, scalar action, multiplication, and (when the subset asks)
-    the involution; each is a law run by ``_run_trials`` on members drawn
-    for it alone. Membership is yes or no, so a miss scores above
-    ``tol`` and fails the report at any tolerance.
-    """
-    if subset.star_closed and A.involution is None:
-        raise MissingInvolutionError(
-            f"{A.name}: subset claims star closure but the carrier"
-            " has no involution"
-        )
-    draw = subset.sample_member
-
-    def outside(x: Any) -> float:
-        return 0.0 if subset.contains(x, tol) else _VIOLATION + tol
-
-    def law_sampler(rng):
-        x = draw(rng)
-        return outside(x), {"x": x}
-
-    def law_add(rng):
-        x, y = draw(rng), draw(rng)
-        return outside(A.add(x, y)), {"x": x, "y": y}
-
-    def law_scalar(rng):
-        x, lam = draw(rng), random_point(rng, A.pair)
-        return outside(A.scalar_mul(lam, x)), {"x": x, "scalar": lam}
-
-    def law_mul(rng):
-        x, y = draw(rng), draw(rng)
-        return outside(A.mul(x, y)), {"x": x, "y": y}
-
-    def law_star(rng):
-        x = draw(rng)
-        return outside(A.involution(x)), {"x": x}
-
-    laws = [
-        ("zero-membership", lambda rng: (outside(A.zero), {})),
-        ("sampler-consistency", law_sampler),
-        ("closed-under-addition", law_add),
-        ("closed-under-scalar", law_scalar),
-        ("closed-under-multiplication", law_mul),
-    ]
-    if subset.star_closed:
-        laws.append(("closed-under-star", law_star))
-    return _run_trials(
-        laws, "subalgebra-closure", A, trials, tol, seed,
-        (f"subset: {subset.name}",),
-    )
 
 
 # ---------------------------------------------------------------------------

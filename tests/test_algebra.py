@@ -25,13 +25,11 @@ from staralg import (
     grid_constant,
     hermitian_parts,
     ideal_membership,
-    ideal_subset,
     make_disk_domain,
     one,
     pair_of,
     quotient_norm,
     scalar_algebra,
-    subalgebra_closure_check,
     sup_norm,
     zero,
 )
@@ -198,14 +196,6 @@ def test_hermitian_parts_grid(pair):
     assert classify_element(A, v).hermitian
     iv = A.scalar_mul(from_preimages(pair, 0.0, 1.0), v)
     assert A.distance(A.add(u, iv), f) <= 1e-9
-
-
-def test_ideal_subset_closed():
-    dom = make_disk_domain(IE, 2, 8)
-    A = grid_algebra(dom)
-    ideal = EvaluationIdeal(dom, from_preimages(IE, 0.5, 0.0))
-    report = subalgebra_closure_check(A, ideal_subset(ideal), trials=120, seed=5)
-    assert report.passed, report.counterexample
 
 
 def test_scalar_conj_is_the_scalar_involution(pair):

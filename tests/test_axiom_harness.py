@@ -6,10 +6,8 @@ import pytest
 from staralg import (
     AxiomReport,
     GridFunction,
-    MissingInvolutionError,
     StarReal,
     SUITES,
-    SubsetSpec,
     UnsupportedSuiteError,
     broken_involution,
     broken_mul,
@@ -17,7 +15,6 @@ from staralg import (
     broken_zero,
     emit_report,
     evaluation_functional,
-    from_preimages,
     grid_algebra,
     homomorphism_check,
     kernel_image_closure_check,
@@ -28,7 +25,6 @@ from staralg import (
     run_axiom_suite,
     scalar_algebra,
     star_homomorphism_check,
-    subalgebra_closure_check,
     unital_functional_check,
 )
 from staralg.axiom_harness import _suite_laws
@@ -190,53 +186,12 @@ def test_report_class_is_frozen():
     assert report_to_dict(r)["passed"] is True
 
 
-# ---------------------------------------------------------------------------
-# subset closure on the trial runner
-
-
-def _line_subset(pair):
-    """Points whose first preimage is 0 or 1: holds the zero and every
-    member, loses every sum. ``contains`` ignores the tolerance."""
-    return SubsetSpec(
-        name="two vertical lines",
-        contains=lambda x, tol: x.preimages[0] in (0.0, 1.0),
-        sample_member=lambda rng: from_preimages(pair, 1.0, rng.uniform(-3, 3)),
-    )
-
-
-@pytest.mark.parametrize("tol", [1.0, 5.0])
-def test_a_subset_that_loses_sums_fails_at_any_tolerance(tol):
-    report = subalgebra_closure_check(scalar(IE), _line_subset(IE), trials=20, tol=tol)
-    assert not report.passed
-    assert report.worst_residual > tol
-    ce = report.counterexample
-    assert (ce["law"], ce["trial"]) == ("closed-under-addition", 0)
-    assert ce["residual"] > tol
-    assert report.notes == ("subset: two vertical lines",)
-
-
-def test_star_closure_without_an_involution_raises_before_any_draw():
-    A = replace(grid_algebra(make_disk_domain(IE, 1, 4)), involution=None)
-    draws = []
-    subset = SubsetSpec(
-        name="everything",
-        contains=lambda x, tol: True,
-        sample_member=lambda rng: draws.append(rng) or A.sample(rng),
-        star_closed=True,
-    )
-    with pytest.raises(MissingInvolutionError, match="star closure"):
-        subalgebra_closure_check(A, subset, trials=5)
-    assert draws == []
-
-
 def _every_check(**kwargs):
-    """The six checks on the trial runner, each called with kwargs."""
+    """The five checks on the trial runner, each called with kwargs."""
     dom = make_disk_domain(IE, 1, 4)
     h = evaluation_functional(dom, dom.points[1])
-    subset = SubsetSpec("everything", lambda x, tol: True, grid(IE).sample)
     return [
         lambda: run_axiom_suite("norm", scalar(IE), **kwargs),
-        lambda: subalgebra_closure_check(grid(IE), subset, **kwargs),
         lambda: homomorphism_check(h, **kwargs),
         lambda: star_homomorphism_check(h, **kwargs),
         lambda: kernel_image_closure_check(h, **kwargs),

@@ -41,7 +41,9 @@ RETIRED_PARAMETERS = [
 ]
 
 # public names that no command, check or workload used, retired with the
-# polynomial carrier and the norm-ball and polynomial subset probes
+# polynomial carrier, the norm-ball and polynomial subset probes, and the
+# subset-closure check (kernel_image_closure_check audits the evaluation
+# ideal alone)
 RETIRED_NAMES = [
     "StarPolynomial",
     "make_polynomial",
@@ -54,6 +56,9 @@ RETIRED_NAMES = [
     "polynomial_algebra",
     "norm_ball_subset",
     "polynomial_subset",
+    "SubsetSpec",
+    "ideal_subset",
+    "subalgebra_closure_check",
 ]
 
 # the carrier record's settings: the norm is read through ``measure`` and
@@ -111,6 +116,7 @@ def test_a_retired_parameter_is_gone(name, param):
 def test_a_retired_name_is_gone(name):
     assert not hasattr(staralg, name)
     assert not hasattr(staralg.algebra, name)
+    assert not hasattr(staralg.axiom_harness, name)
 
 
 def test_the_carrier_record_holds_its_own_norm_reading():
