@@ -25,7 +25,8 @@ from .expr import _product
 from .generators import GeneratorPair, guard, guard_points
 from .star_complex import (
     StarComplex,
-    _DRAW_BOUND,
+    _DRAW_LOW,
+    _DRAW_WIDTH,
     _same_pair,
     c_add,
     c_conj,
@@ -116,13 +117,12 @@ def _same(x: GridDomain, y: GridDomain, what: str) -> None:
         raise DomainMismatchError(what)
 
 
-def _draw(rng: random.Random, n: int, b: float) -> tuple[complex, ...]:
-    """n complex preimages, both parts uniform in [-b, b], drawn in the
-    order random_point draws them, with ``uniform`` written out as
-    random_point writes it."""
-    r = rng.random
-    w = b + b
-    return tuple(complex(-b + w * r(), -b + w * r()) for _ in range(n))
+def _draw(rng: random.Random, n: int) -> tuple[complex, ...]:
+    """n complex preimages, both parts uniform in the draw interval,
+    drawn in the order random_point draws them, with ``uniform`` written
+    out as random_point writes it."""
+    r, lo, w = rng.random, _DRAW_LOW, _DRAW_WIDTH
+    return tuple(complex(lo + w * r(), lo + w * r()) for _ in range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +452,7 @@ def grid_algebra(dom: GridDomain) -> Algebra:
     pair = dom.pair
 
     def sample(rng: random.Random) -> GridFunction:
-        return GridFunction.of_preimages(dom, _draw(rng, len(dom), _DRAW_BOUND))
+        return GridFunction.of_preimages(dom, _draw(rng, len(dom)))
 
     def sub(f: GridFunction, g: GridFunction) -> GridFunction:
         _same_pair(pair, g.domain.pair)

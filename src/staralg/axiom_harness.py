@@ -21,24 +21,16 @@ import random
 from dataclasses import replace
 from typing import Any, Callable
 
-from .algebra import (
-    Algebra,
-    GridFunction,
-    _draw,
-    make_disk_domain,
-)
+from .algebra import Algebra
 from .errors import (
     MissingInvolutionError,
     MissingUnitError,
     StarError,
     UnsupportedSuiteError,
 )
-from .generators import GeneratorPair
 from .report import AxiomReport
 from .star_complex import (
     StarComplex,
-    _DRAW_BOUND,
-    _same_pair,
     c_add,
     c_conj,
     c_div,
@@ -47,12 +39,11 @@ from .star_complex import (
     one,
     random_point,
 )
-from .star_real import from_preimage, one_of
+from .star_real import one_of
 
 __all__ = [
     "SUITES",
     "run_axiom_suite",
-    "random_sample",
     "broken_zero",
     "broken_norm",
     "broken_mul",
@@ -81,34 +72,6 @@ def _sample_away_from_zero(A: Algebra, rng: random.Random):
         if A.measure(x) >= _NONZERO_FLOOR:
             return x
     return None
-
-
-def random_sample(
-    kind: str,
-    pair: GeneratorPair,
-    bound: float = _DRAW_BOUND,
-    seed: int = 0,
-    domain=None,
-):
-    """One deterministic random element of the requested kind.
-
-    Kinds: star-real (alpha line), star-complex, grid-function (over
-    ``domain`` or a default 2x8 disk lattice). Preimage components are
-    uniform in [-bound, bound]; bounds above 600 would leave the exp
-    generator's working domain and are rejected.
-    """
-    if not (0.0 < bound <= 600.0):
-        raise ValueError("bound must be in (0, 600] to stay representable")
-    rng = random.Random(seed)
-    if kind == "star-real":
-        return from_preimage(pair.alpha, rng.uniform(-bound, bound))
-    if kind == "star-complex":
-        return random_point(rng, pair, bound)
-    if kind == "grid-function":
-        dom = domain if domain is not None else make_disk_domain(pair, 2, 8)
-        _same_pair(pair, dom.pair)
-        return GridFunction.of_preimages(dom, _draw(rng, len(dom), bound))
-    raise ValueError(f"unknown sample kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------

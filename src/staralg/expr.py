@@ -46,7 +46,8 @@ literals read once, its subtrees without z evaluated once), kept for the
 last (tree, op table) and called at each point of a grid. The fold
 itself reads a tree once: for an unbound z, for a tree deeper than
 ``MAX_NESTING`` levels, and again at a point that raises a StarError,
-so that the error names its subterm exactly as the fold does.
+so that the error names its subterm exactly as the fold does, or a
+RecursionError, from a caller deep in the stack.
 """
 
 from __future__ import annotations
@@ -532,7 +533,8 @@ def read_at(
     points; the op table stands for the whole reading, ``lit`` included.
     With z unbound, for a tree too deep to compile, and again on any
     StarError, it is the annotating ``fold``, so that an error's class,
-    message and subterm are the fold's.
+    message and subterm are the fold's. A compiled reading that runs out
+    of stack, since it takes one frame per tree level, is also folded.
     """
     global _compiled
     if z is not None:
@@ -548,7 +550,9 @@ def read_at(
         if run is not None:
             try:
                 return run(z)
-            except StarError:
+            except (StarError, RecursionError):
+                # the fold names a refused subterm and takes no frame
+                # per tree level
                 pass
 
     def leaf(n: Node) -> Any:
@@ -667,7 +671,7 @@ def eval_classical(node: Node, z: complex | None = None) -> complex:
 # ---------------------------------------------------------------------------
 # samplers
 
-# the default bound on drawn preimage components, shared by every sampler
+# the one draw bound on drawn preimage components, shared by every sampler
 _DRAW_BOUND = 3.0
 
 _BIN_OPS = ("add", "sub", "mul", "div")

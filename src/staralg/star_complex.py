@@ -100,16 +100,20 @@ def from_classical(pair: GeneratorPair, w: complex) -> StarComplex:
     return StarComplex(pair, pair.check(complex(w.real, w.imag)))
 
 
-def random_point(
-    rng: random.Random, pair: GeneratorPair, bound: float = _DRAW_BOUND
-) -> StarComplex:
-    """A point with both preimages drawn uniformly from [-bound, bound].
+# the draw interval [-_DRAW_BOUND, _DRAW_BOUND] as its low end and width,
+# the two numbers ``rng.uniform`` computes a part from
+_DRAW_LOW = -_DRAW_BOUND
+_DRAW_WIDTH = _DRAW_BOUND - _DRAW_LOW
 
-    Each part is ``rng.uniform(-bound, bound)`` written out, as CPython
-    computes it, so the draws and the generator's state are the same."""
-    r = rng.random
-    w = bound + bound
-    return from_preimages(pair, -bound + w * r(), -bound + w * r())
+
+def random_point(rng: random.Random, pair: GeneratorPair) -> StarComplex:
+    """A point with both preimages drawn uniformly from the draw interval.
+
+    Each part is ``rng.uniform(-_DRAW_BOUND, _DRAW_BOUND)`` written out,
+    as CPython computes it, so the draws and the generator's state are
+    the same."""
+    r, lo, w = rng.random, _DRAW_LOW, _DRAW_WIDTH
+    return from_preimages(pair, lo + w * r(), lo + w * r())
 
 
 def _same_pair(p: GeneratorPair, q: GeneratorPair) -> None:

@@ -218,8 +218,10 @@ def series_sum(
     return SeriesResult(total, True, used, None)
 
 
-def preimage_close(
-    x: float, y: float, rel: float = 1e-9, abs_tol: float = 1e-12
-) -> bool:
+# preimage_close's absolute floor, the gap it accepts near zero
+_CLOSE_FLOOR = 1e-12
+
+
+def preimage_close(x: float, y: float, rel: float = 1e-9) -> bool:
     """Closeness on preimages: absolute near zero, relative at scale."""
-    return abs(x - y) <= max(abs_tol, rel * max(abs(x), abs(y)))
+    return abs(x - y) <= max(_CLOSE_FLOOR, rel * max(abs(x), abs(y)))

@@ -49,7 +49,6 @@ from staralg import (
     perturbative_inverse,
     preimage_close,
     quotient_norm,
-    random_sample,
     random_tree,
     run_axiom_suite,
     safe_random_tree,
@@ -250,7 +249,7 @@ def test_criterion_06_hermitian_decomposition_and_unitaries():
         dom = make_disk_domain(pair, 2, 8)
         G = grid_algebra(dom)
         for t in range(10):
-            f = random_sample("grid-function", pair, seed=6100 + 50 * idx + t, domain=dom)
+            f = G.sample(random.Random(6100 + 50 * idx + t))
             u, v = hermitian_parts(G, f)
             _note(failures, classify_element(G, u).hermitian, f"{pair}: grid u not hermitian")
             _note(failures, classify_element(G, v).hermitian, f"{pair}: grid v not hermitian")
@@ -298,8 +297,7 @@ def test_criterion_07_evaluation_functionals():
                   f"point {point_index}: {name} check failed: {report.counterexample}")
         rng = random.Random(7000 + k)
         for t in range(30):
-            f = random_sample("grid-function", FLAGSHIP,
-                              seed=rng.randrange(1 << 30), domain=dom)
+            f = phi.source.sample(random.Random(rng.randrange(1 << 30)))
             pinned = GridFunction(dom, tuple(
                 zero_c if i == point_index else v for i, v in enumerate(f.values)
             ))
@@ -313,10 +311,11 @@ def test_criterion_08_quotient_norm():
     failures: list[str] = []
     for idx, pair in enumerate(PAIRS):
         dom = make_disk_domain(pair, 2, 8)
+        G = grid_algebra(dom)
         rng = random.Random(8000 + idx)
         for t in range(125):
-            f = random_sample("grid-function", pair, seed=rng.randrange(1 << 30), domain=dom)
-            g = random_sample("grid-function", pair, seed=rng.randrange(1 << 30), domain=dom)
+            f = G.sample(random.Random(rng.randrange(1 << 30)))
+            g = G.sample(random.Random(rng.randrange(1 << 30)))
             ideal = EvaluationIdeal(dom, dom.points[rng.randrange(len(dom.points))])
             qf, qg = quotient_norm(f, ideal), quotient_norm(g, ideal)
             qfg = quotient_norm(fn_mul(f, g), ideal).preimage

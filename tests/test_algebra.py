@@ -9,6 +9,7 @@ from staralg import (
     EvaluationIdeal,
     GridFunction,
     MissingInvolutionError,
+    StarComplex,
     approx_eq,
     c_conj,
     c_mul,
@@ -29,6 +30,7 @@ from staralg import (
     one,
     pair_of,
     quotient_norm,
+    random_point,
     scalar_algebra,
     sup_norm,
     zero,
@@ -196,6 +198,27 @@ def test_hermitian_parts_grid(pair):
     assert classify_element(A, v).hermitian
     iv = A.scalar_mul(from_preimages(pair, 0.0, 1.0), v)
     assert A.distance(A.add(u, iv), f) <= 1e-9
+
+
+def test_carrier_samples_kinds(pair):
+    # the scalar carrier draws one field point, as random_point draws it;
+    # the grid carrier draws one value per grid point, all over the pair
+    x = scalar_algebra(pair).sample(random.Random(1))
+    assert isinstance(x, StarComplex) and x.pair == pair
+    assert x == random_point(random.Random(1), pair)
+    assert all(-3.0 <= t <= 3.0 for t in x.preimages)
+    dom = make_disk_domain(pair, 2, 8)
+    f = grid_algebra(dom).sample(random.Random(1))
+    assert isinstance(f, GridFunction) and f.domain is dom
+    assert len(f.values) == 17
+    assert all(v.pair == pair for v in f.values)
+
+
+def test_carrier_samples_are_seed_deterministic(pair):
+    for A in (scalar_algebra(pair), grid_algebra(make_disk_domain(pair, 2, 8))):
+        a = A.sample(random.Random(9))
+        assert a == A.sample(random.Random(9))
+        assert a != A.sample(random.Random(10))
 
 
 def test_scalar_conj_is_the_scalar_involution(pair):

@@ -5,8 +5,6 @@ import pytest
 
 from staralg import (
     AxiomReport,
-    GridFunction,
-    StarReal,
     SUITES,
     UnsupportedSuiteError,
     broken_involution,
@@ -20,7 +18,6 @@ from staralg import (
     kernel_image_closure_check,
     make_disk_domain,
     pair_of,
-    random_sample,
     report_to_dict,
     run_axiom_suite,
     scalar_algebra,
@@ -155,28 +152,6 @@ def test_emit_report_text_mode():
     assert text.endswith("overall: ok")
     with pytest.raises(ValueError):
         emit_report([report], "yaml")
-
-
-def test_random_sample_kinds(pair):
-    r = random_sample("star-real", pair, seed=1)
-    assert isinstance(r, StarReal) and r.gen == pair.alpha
-    c = random_sample("star-complex", pair, seed=1)
-    assert c.pair == pair
-    g = random_sample("grid-function", pair, seed=1)
-    assert isinstance(g, GridFunction) and len(g.values) == 17
-    for kind in ("matrix", "polynomial"):
-        with pytest.raises(ValueError, match="unknown sample kind"):
-            random_sample(kind, pair)
-    with pytest.raises(ValueError):
-        random_sample("star-real", pair, bound=1e4)
-
-
-def test_random_sample_is_seed_deterministic(pair):
-    a = random_sample("star-complex", pair, seed=9)
-    b = random_sample("star-complex", pair, seed=9)
-    assert a == b
-    c = random_sample("star-complex", pair, seed=10)
-    assert a != c
 
 
 def test_report_class_is_frozen():

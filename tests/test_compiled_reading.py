@@ -28,6 +28,7 @@ from staralg import (
     from_classical,
     make_disk_domain,
     pair_of,
+    parse_expr,
     random_tree,
 )
 from staralg import expr
@@ -255,3 +256,23 @@ def test_a_reading_at_the_bound_runs_from_300_frames_deep():
     assert _from_depth(300, lambda: deep(direct)) == repr(
         fold_direct(tree, pair, StarComplex(pair, z)).value
     )
+
+
+@pytest.mark.parametrize("names", [("cube", "exp"), ("identity", "identity")])
+def test_a_deep_caller_reads_a_compiled_tree_by_the_fold(names):
+    # the compiled reading takes a frame per tree level and runs out of
+    # stack this deep; the point is folded instead, and gives the value
+    # the reading gives from the top
+    pair = pair_of(*names)
+    src = "conj(" * 199 + "z" + ")" * 199
+    z = from_classical(pair, complex(0.25, -0.125))
+    reads = {
+        "direct": lambda t: dual_mode_eval(t, pair, "direct", z).as_complex,
+        "pullback": lambda t: dual_mode_eval(t, pair, "pullback", z).as_complex,
+        "classical": lambda t: eval_classical(t, z.as_complex),
+    }
+    frames = sys.getrecursionlimit() - 100
+    for name, run in reads.items():
+        tree = parse_expr(src)
+        assert _from_depth(frames, lambda: run(tree)) == complex(0.25, 0.125), name
+        assert run(tree) == complex(0.25, 0.125), name

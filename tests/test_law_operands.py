@@ -113,6 +113,18 @@ def _loses_sums(A):
     )
 
 
+def _not_multiplicative(A):
+    """2 f(p5) - f(p3): unital and linear, but its kernel does not absorb
+    products and it stretches the unit ball past norm one."""
+    two = from_preimages(A.pair, 2.0, 0.0)
+    return HomomorphismHandle(
+        source=A,
+        target=scalar_algebra(A.pair),
+        map=lambda f: c_sub(c_mul(two, f.at(5)), f.at(3)),
+        name="not multiplicative",
+    )
+
+
 MORPHISM_CHECKS = (
     homomorphism_check,
     star_homomorphism_check,
@@ -152,6 +164,13 @@ def test_passing_runs_describe_nothing(pair):
         # the first sum does not
         (lambda A: kernel_image_closure_check(_loses_sums(A), TRIALS, seed=SEED),
          "kernel-add"),
+        # a unital linear map that is not multiplicative: its kernel is
+        # closed under sums and scalars, not under products, and its norm
+        # is above one
+        (lambda A: kernel_image_closure_check(
+            _not_multiplicative(A), TRIALS, seed=SEED), "kernel-absorbs"),
+        (lambda A: unital_functional_check(
+            _not_multiplicative(A), TRIALS, seed=SEED), "contraction"),
     ],
 )
 def test_failing_runs_describe_the_first_counterexample_only(pair, run, law):
@@ -160,7 +179,7 @@ def test_failing_runs_describe_the_first_counterexample_only(pair, run, law):
     report = run(A)
     assert not report.passed
     assert report.counterexample["law"] == law
-    if law == "kernel-add":
+    if law in ("kernel-add", "kernel-absorbs", "contraction"):
         assert report.counterexample["trial"] == 0
     expected, described = _described_operands(G, report, calls)
     assert described == expected

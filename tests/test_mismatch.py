@@ -32,7 +32,6 @@ from staralg import (
     one,
     pair_of,
     parse_expr,
-    random_sample,
 )
 
 IE = pair_of("identity", "exp")
@@ -58,7 +57,6 @@ def _cases():
         "grid_constant": lambda: grid_constant(dom, stray),
         "GridFunction": lambda: GridFunction(dom, (stray,) * len(dom)),
         "GridDomain": lambda: GridDomain(IE, (from_preimages(EE, 0.0, 0.0),)),
-        "random_sample": lambda: random_sample("grid-function", EE, domain=dom),
         "index_of": lambda: dom.index_of(origin),
         "EvaluationIdeal": lambda: EvaluationIdeal(dom, origin),
         "evaluation_functional": lambda: evaluation_functional(dom, origin),

@@ -1,3 +1,4 @@
+import math
 import random
 from dataclasses import replace
 
@@ -24,10 +25,8 @@ from staralg import (
     make_disk_domain,
     one,
     pair_of,
-    preimage_close,
     quotient_map,
     quotient_norm,
-    random_sample,
     scalar_algebra,
     star_homomorphism_check,
     unital_functional_check,
@@ -55,7 +54,7 @@ def fn_sub(f, g):
 def test_functional_shape(dom, phi):
     assert phi.source.name == "grid"
     assert phi.target.name == "scalar"
-    f = random_sample("grid-function", dom.pair, seed=1, domain=dom)
+    f = phi.source.sample(random.Random(1))
     assert phi.map(f) == f.values[3]
 
 
@@ -122,11 +121,10 @@ def test_kernel_matches_ideal_membership(dom, phi):
     # the kernel of evaluation at p is exactly the ideal vanishing at p
     ideal = EvaluationIdeal(dom, dom.points[3])
     z = from_preimages(dom.pair, 0.0, 0.0)
+    G = grid_algebra(dom)
     rng = random.Random(7)
     for _ in range(40):
-        f = random_sample(
-            "grid-function", dom.pair, seed=rng.randrange(1 << 30), domain=dom
-        )
+        f = G.sample(random.Random(rng.randrange(1 << 30)))
         pinned = GridFunction(
             dom, tuple(z if i == 3 else v for i, v in enumerate(f.values))
         )
@@ -146,14 +144,14 @@ def test_kernel_closure_requires_scalar_target():
 
 def test_quotient_map_invariants(dom):
     ideal = EvaluationIdeal(dom, dom.points[5])
-    f = random_sample("grid-function", dom.pair, seed=8, domain=dom)
+    f = grid_algebra(dom).sample(random.Random(8))
     coset = quotient_map(f, ideal)
     assert coset.ideal is ideal
     assert coset.value == f.values[5]
     # representative: the constant function at the base-point value
     assert all(v == coset.value for v in coset.representative.values)
-    assert preimage_close(
-        coset.norm.preimage, quotient_norm(f, ideal).preimage, abs_tol=0.0
+    assert math.isclose(
+        coset.norm.preimage, quotient_norm(f, ideal).preimage, rel_tol=1e-9
     )
     # f minus its representative lands in the ideal
     assert ideal_membership(ideal, fn_sub(f, coset.representative), tol=1e-9)
@@ -161,17 +159,18 @@ def test_quotient_map_invariants(dom):
 
 def test_quotient_norm_is_evaluation_modulus(dom):
     ideal = EvaluationIdeal(dom, dom.points[1])
+    G = grid_algebra(dom)
     for seed in range(10):
-        f = random_sample("grid-function", dom.pair, seed=seed, domain=dom)
+        f = G.sample(random.Random(seed))
         lhs = quotient_norm(f, ideal).preimage
         rhs = c_norm(f.values[1]).preimage
-        assert preimage_close(lhs, rhs, abs_tol=0.0)
+        assert math.isclose(lhs, rhs, rel_tol=1e-9)
 
 
 def test_shifting_by_an_ideal_member_fixes_the_coset():
     dom = make_disk_domain(IE, 2, 8)
     ideal = EvaluationIdeal(dom, dom.points[0])
-    f = random_sample("grid-function", IE, seed=20, domain=dom)
+    f = grid_algebra(dom).sample(random.Random(20))
     member = fn_sub(f, quotient_map(f, ideal).representative)
     assert ideal_membership(ideal, member)
     shifted = quotient_map(fn_add(f, member), ideal)

@@ -37,7 +37,8 @@ RETIRED_PARAMETERS = [
     ("kernel_image_closure_check", "kernel_sampler"),
     ("continuity_bound_check", "tol"),
     ("continuity_bound_check", "max_terms"),
-    ("random_sample", "degree"),
+    ("random_point", "bound"),
+    ("preimage_close", "abs_tol"),
 ]
 
 # public names that no command, check or workload used, retired with the
@@ -59,6 +60,7 @@ RETIRED_NAMES = [
     "SubsetSpec",
     "ideal_subset",
     "subalgebra_closure_check",
+    "random_sample",
 ]
 
 # the carrier record's settings: the norm is read through ``measure`` and
