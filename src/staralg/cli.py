@@ -54,12 +54,13 @@ from .errors import (
     UnsupportedSuiteError,
 )
 from .expr import Lit, parse_expr
-from .generators import builtin_names, pair_of
+from .generators import builtin_names, guard, pair_of
 from .inversion import neumann_inverse
 from .morphisms import quotient_map
 from .report import SCHEMA_VERSION, emit_report
 from .star_complex import (
     StarComplex,
+    _read_points,
     approx_eq,
     c_div,
     c_norm,
@@ -211,19 +212,20 @@ def _parse(argv: list[str] | None) -> argparse.Namespace:
     return parser.parse_args(argv)
 
 
-def _value_dict(z: StarComplex) -> dict[str, float]:
-    pa, pb = z.preimages
+def _value_dict(pair, w: complex) -> dict[str, float]:
+    """The point with preimages w over the pair; each image is what
+    ``from_preimage(g, t).image`` reads, guard included."""
+    alpha, beta = pair.alpha, pair.beta
     return {
-        "a_preimage": pa,
-        "b_preimage": pb,
-        "a_image": z.a.image,
-        "b_image": z.b.image,
+        "a_preimage": w.real,
+        "b_preimage": w.imag,
+        "a_image": alpha.forward(guard(alpha, w.real)),
+        "b_image": beta.forward(guard(beta, w.imag)),
     }
 
 
-def _fmt_pair(z: StarComplex) -> str:
-    pa, pb = z.preimages
-    return f"({pa!r}, {pb!r})"
+def _fmt_pair(w: complex) -> str:
+    return f"({w.real!r}, {w.imag!r})"
 
 
 def _doc(args: argparse.Namespace, pair, **fields: Any) -> dict[str, Any]:
@@ -257,7 +259,7 @@ def _cmd_eval(args: argparse.Namespace, pair) -> int:
         args, pair,
         mode=args.mode,
         tol=args.tol,
-        value=_value_dict(value),
+        value=_value_dict(pair, value.value),
         norm_preimage=nrm.preimage,
         norm_image=nrm.image,
         modes_agree=agree,
@@ -266,7 +268,7 @@ def _cmd_eval(args: argparse.Namespace, pair) -> int:
         doc,
         args.json,
         [
-            f"value (preimages): {_fmt_pair(value)}",
+            f"value (preimages): {_fmt_pair(value.value)}",
             f"value (images):    ({value.a.image!r}, {value.b.image!r})",
             f"norm (preimage):   {nrm.preimage!r}",
             f"modes agree:       {'yes' if agree else 'NO'}"
@@ -295,8 +297,8 @@ def _cmd_invert(args: argparse.Namespace, pair) -> int:
     doc = _doc(
         args, pair,
         tol=args.tol,
-        x=_value_dict(x),
-        inverse=_value_dict(rep.inverse),
+        x=_value_dict(pair, x.value),
+        inverse=_value_dict(pair, rep.inverse.value),
         **rep.to_json_dict(),
         matches_exact=matches,
     )
@@ -305,8 +307,8 @@ def _cmd_invert(args: argparse.Namespace, pair) -> int:
         doc,
         args.json,
         [
-            f"x (preimages):       {_fmt_pair(x)}",
-            f"inverse (preimages): {_fmt_pair(rep.inverse)}",
+            f"x (preimages):       {_fmt_pair(x.value)}",
+            f"inverse (preimages): {_fmt_pair(rep.inverse.value)}",
             f"converged: {'yes' if rep.converged else 'NO'}"
             f" after {rep.terms_used} terms,"
             f" residual {doc['residual_preimage']:.3e}",
@@ -325,26 +327,24 @@ def _disk_domain(args: argparse.Namespace, pair):
     return make_disk_domain(pair, args.radial, args.angular)
 
 
-def _grid_values(args: argparse.Namespace, pair):
-    dom = _disk_domain(args, pair)
-    tree = parse_expr(args.expr)
-    values = tuple(
-        dual_mode_eval(tree, pair, args.mode, z=p) for p in dom.points
+def _grid_values(dom, tree, mode: str) -> GridFunction:
+    """The tree over the whole lattice, read in one pass."""
+    return GridFunction.of_preimages(
+        dom, _read_points(tree, dom.pair, mode, dom.preimages)
     )
-    return dom, GridFunction(dom, values)
 
 
 def _cmd_grid(args: argparse.Namespace, pair) -> int:
-    dom, f = _grid_values(args, pair)
+    dom = _disk_domain(args, pair)
+    f = _grid_values(dom, parse_expr(args.expr), args.mode)
     sn = sup_norm(f)
-    values = f.values
     doc = _doc(
         args, pair,
         mode=args.mode,
         radial=args.radial,
         angular=args.angular,
-        points=[_value_dict(p) for p in dom.points],
-        values=[_value_dict(v) for v in values],
+        points=[_value_dict(pair, p) for p in dom.preimages],
+        values=[_value_dict(pair, v) for v in f.preimages],
         sup_norm_preimage=sn.preimage,
         sup_norm_image=sn.image,
     )
@@ -352,7 +352,7 @@ def _cmd_grid(args: argparse.Namespace, pair) -> int:
         f"grid: {len(dom)} points"
         f" ({args.radial} circles x {args.angular}, plus the origin)",
     ]
-    for p, v in zip(dom.points, values):
+    for p, v in zip(dom.preimages, f.preimages):
         lines.append(f"  f{_fmt_pair(p)} = {_fmt_pair(v)}")
     lines.append(f"sup norm (preimage): {sn.preimage!r}")
     _print_doc(doc, args.json, lines)
@@ -363,10 +363,13 @@ def _cmd_quotient(args: argparse.Namespace, pair) -> int:
     at_tree = parse_expr(args.at)
     if not isinstance(at_tree, Lit):
         raise ParseError("--at must be a literal pair like (a, b)", 0)
-    dom, f = _grid_values(args, pair)
+    dom = _disk_domain(args, pair)
+    tree = parse_expr(args.expr)
     # unguarded: the point is only looked up, and every grid point passes
-    # every guard, so an off-grid literal is a usage error, not a refusal
+    # every guard, so an off-grid literal is a usage error, not a refusal,
+    # and it is reported before the grid is read
     ideal = EvaluationIdeal(dom, StarComplex(pair, complex(at_tree.a, at_tree.b)))
+    f = _grid_values(dom, tree, args.mode)
     coset = quotient_map(f, ideal)
     member = ideal_membership(ideal, f, tol=args.tol)
     doc = _doc(
@@ -375,7 +378,7 @@ def _cmd_quotient(args: argparse.Namespace, pair) -> int:
         radial=args.radial,
         angular=args.angular,
         at={"a_preimage": at_tree.a, "b_preimage": at_tree.b},
-        representative_value=_value_dict(coset.value),
+        representative_value=_value_dict(pair, coset.value.value),
         quotient_norm_preimage=coset.norm.preimage,
         quotient_norm_image=coset.norm.image,
         in_ideal=member,
@@ -385,7 +388,7 @@ def _cmd_quotient(args: argparse.Namespace, pair) -> int:
         args.json,
         [
             f"base point (preimages): ({at_tree.a!r}, {at_tree.b!r})",
-            f"coset representative:   constant {_fmt_pair(coset.value)}",
+            f"coset representative:   constant {_fmt_pair(coset.value.value)}",
             f"quotient norm (preimage): {coset.norm.preimage!r}",
             f"in the ideal: {'yes' if member else 'no'}",
         ],

@@ -34,7 +34,8 @@ This module knows nothing about generators: trees are pure data.
 reading of a tree is a leaf function plus a table of ops over it. The
 printer ``to_text`` is one, ``eval_classical`` over the ordinary complex
 numbers (the pullback route) is another, and the direct route lives in
-star_complex. Node ``==`` and ``hash`` compare the same post-orders.
+star_complex. Nodes are slotted and built as StarReal is, and node
+``==`` and ``hash`` compare the same post-orders.
 
 The field's two rounding rules live here, ``_product`` and ``_divide``,
 under both routes and star_complex's ``c_mul`` and ``c_div``: each
@@ -43,11 +44,13 @@ computes its result, decides whether the rule fires and refuses.
 Both routes read a tree at a point z through ``read_at``. With z bound,
 the tree is folded once into one function of z for that op table (its
 literals read once, its subtrees without z evaluated once), kept for the
-last (tree, op table) and called at each point of a grid. The fold
-itself reads a tree once: for an unbound z, for a tree deeper than
-``MAX_NESTING`` levels, and again at a point that raises a StarError,
-so that the error names its subterm exactly as the fold does, or a
-RecursionError, from a caller deep in the stack.
+last (tree, op table) and called by each per-point caller. ``grid`` and
+``quotient`` read the whole lattice instead by one fold over tuples of
+points (star_complex's ``_read_points``). The fold itself reads a tree
+once: for an unbound z, for a tree deeper than ``MAX_NESTING`` levels,
+and again at a point that raises a StarError, so that the error names
+its subterm exactly as the fold does, or a RecursionError, from a caller
+deep in the stack.
 """
 
 from __future__ import annotations
@@ -83,19 +86,26 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Lit:
     """Literal point given by its two preimage coordinates."""
 
     a: float
     b: float
 
+    def __init__(self, a: float, b: float):
+        _set_a(self, a)
+        _set_b(self, b)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True, init=False)
 class Var:
     """The bound point ``z`` (grid evaluation binds it per grid point)."""
 
     name: str = "z"
+
+    def __init__(self, name: str = "z"):
+        _set_name(self, name)
 
 
 def _key(node: Node) -> tuple:
@@ -115,26 +125,40 @@ def _node_hash(self: Node) -> int:
     return hash(_key(self))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Unary:
     op: str  # "conj" | "norm" | "neg"
     child: "Node"
+
+    def __init__(self, op: str, child: "Node"):
+        _set_op1(self, op)
+        _set_child(self, child)
 
     __eq__ = _node_eq
     __hash__ = _node_hash
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Binary:
     op: str  # "add" | "sub" | "mul" | "div"
     left: "Node"
     right: "Node"
+
+    def __init__(self, op: str, left: "Node", right: "Node"):
+        _set_op2(self, op)
+        _set_left(self, left)
+        _set_right(self, right)
 
     __eq__ = _node_eq
     __hash__ = _node_hash
 
 
 Node = Union[Lit, Var, Unary, Binary]
+
+# the slots' own member descriptors, as in star_real, in field order
+_set_a, _set_b, _set_name, _set_op1, _set_child, _set_op2, _set_left, _set_right = (
+    c.__dict__[f].__set__ for c in (Lit, Var, Unary, Binary) for f in c.__slots__
+)
 
 _SYM_OPS = {"+": "add", "-": "sub", "*": "mul", "/": "div"}
 # the binary operators by precedence level, loosest first

@@ -19,16 +19,19 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable
 
-from .errors import PairMismatchError, StarDivisionError
+from .errors import PairMismatchError, StarDivisionError, StarError
 from .expr import (
+    _CLASSICAL_OPS,
     _DRAW_BOUND,
+    Lit,
     Node,
     _divide,
     _product,
     eval_classical,
+    fold,
     read_at,
 )
 from .generators import GeneratorPair, guard
@@ -260,3 +263,37 @@ def dual_mode_eval(
         z.value if z is not None else None,
     )
     return StarComplex(pair, value)
+
+
+def _columns(op: Callable, *cols: tuple) -> tuple:
+    return tuple(map(op, *cols))
+
+
+def _read_points(
+    tree: Node, pair: GeneratorPair, mode: str, zs: tuple[complex, ...]
+) -> tuple[complex, ...]:
+    """``dual_mode_eval(tree, pair, mode, z=p).value`` at each point p of
+    the preimages zs, read by one fold over the whole tuple.
+
+    ``z`` is zs, taken as given; a literal is its value repeated, guarded
+    once on the direct route. Each op is the route's own op mapped over
+    the columns, and the pullback route guards each result point. On any
+    StarError every point is read by ``dual_mode_eval``, so the error is
+    the lowest failing point's, with its message and subterm."""
+    n, check = len(zs), pair.check
+    direct = mode == "direct"
+    ops = _direct_ops(pair) if direct else _CLASSICAL_OPS
+
+    def leaf(node: Node) -> tuple[complex, ...]:
+        if not isinstance(node, Lit):
+            return zs
+        v = complex(node.a, node.b)
+        return ((check(v) if direct else v),) * n
+
+    try:
+        out = fold(tree, leaf, {k: partial(_columns, op) for k, op in ops.items()})
+        return out if direct else tuple(map(check, out))
+    except StarError:
+        return tuple(
+            dual_mode_eval(tree, pair, mode, z=StarComplex(pair, p)).value for p in zs
+        )

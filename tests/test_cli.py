@@ -288,6 +288,17 @@ def test_exit_2_on_a_base_point_outside_the_working_domain(alpha, at):
     assert "is not on the grid" in err
 
 
+@pytest.mark.parametrize("mode", ["direct", "pullback"])
+def test_an_off_grid_base_point_is_reported_before_the_grid_is_read(mode):
+    # (1,0)/z is refused at the origin, but the base point is a usage
+    # error, found before any point is read
+    code, out, err = run(["quotient", "(1,0)/z", "--at", "(0.3,0.3)",
+                          "--radial", "1", "--angular", "4", "--mode", mode])
+    assert (code, out) == (2, "")
+    assert _one_error_line(err)
+    assert "is not on the grid" in err
+
+
 def _one_error_line(err):
     return (
         sum("error:" in line for line in err.splitlines()) == 1

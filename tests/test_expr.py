@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 import random
 
 import pytest
@@ -17,6 +20,7 @@ from staralg import (
     safe_random_tree,
     to_text,
 )
+from staralg import expr
 
 
 def test_precedence_shape():
@@ -148,3 +152,93 @@ def test_unicode_in_the_tokenizer():
     assert str(exc.value) == "bad number '3²'"
     assert exc.value.offset == 1
     assert parse_expr("　(1,2)\x1c+\x1c(3,4)　") == parse_expr("(1,2)+(3,4)")
+
+
+# --- the four node classes keep their record behaviour -----------------
+
+_NODES = [
+    (Lit(1.5, -2.0), "Lit(a=1.5, b=-2.0)", ("a", "b")),
+    (Var(), "Var(name='z')", ("name",)),
+    (Unary("neg", Var()), "Unary(op='neg', child=Var(name='z'))", ("op", "child")),
+    (
+        Binary("add", Lit(1.0, 0.0), Var()),
+        "Binary(op='add', left=Lit(a=1.0, b=0.0), right=Var(name='z'))",
+        ("op", "left", "right"),
+    ),
+]
+_NODE_IDS = ["Lit", "Var", "Unary", "Binary"]
+
+
+def _rebuilt(node):
+    # the same tree, built again from its text
+    return parse_expr(to_text(node))
+
+
+@pytest.mark.parametrize("node, text, names", _NODES, ids=_NODE_IDS)
+def test_node_equality_and_hash_read_the_post_order(node, text, names):
+    twin = _rebuilt(node)
+    assert twin is not node
+    assert twin == node and hash(twin) == hash(node)
+    # an inner node hashes its post-order key; a leaf, the key's one
+    # entry, hashes its fields
+    if isinstance(node, (Unary, Binary)):
+        assert hash(node) == hash(expr._key(node))
+    else:
+        assert expr._key(node) == (node,)
+        assert hash(node) == hash(tuple(getattr(node, n) for n in names))
+    assert node != Binary("sub", node, node) and node != Unary("conj", node)
+    assert (node == to_text(node)) is False
+
+
+def test_node_equality_keeps_the_signed_zero_rule():
+    assert Lit(0.0, 0.0) == Lit(-0.0, 0.0)
+    assert hash(Lit(0.0, 0.0)) == hash(Lit(-0.0, 0.0))
+    assert Unary("neg", Lit(0.0, -0.0)) == Unary("neg", Lit(-0.0, 0.0))
+    assert Binary("add", Lit(-0.0, 0.0), Var()) == Binary("add", Lit(0.0, 0.0), Var())
+    assert Lit(0.0, 0.0) != Lit(0.0, 1.0)
+    assert Var() == Var("z") and Var() != Var("w")
+
+
+@pytest.mark.parametrize("node, text, names", _NODES, ids=_NODE_IDS)
+def test_node_repr(node, text, names):
+    assert repr(node) == text
+
+
+@pytest.mark.parametrize("node, text, names", _NODES, ids=_NODE_IDS)
+def test_nodes_are_frozen_and_slotted(node, text, names):
+    for name in names:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(node, name, None)
+    with pytest.raises((AttributeError, TypeError)):
+        node.extra = 1
+    assert not hasattr(node, "__dict__")
+    assert repr(node) == text
+
+
+@pytest.mark.parametrize("node, text, names", _NODES, ids=_NODE_IDS)
+def test_node_fields_and_replace(node, text, names):
+    assert tuple(f.name for f in dataclasses.fields(node)) == names
+    assert dataclasses.replace(node) == node
+    changed = {"a": 7.0, "name": "w", "op": "conj" if len(names) == 2 else "mul"}
+    field = names[0]
+    other = dataclasses.replace(node, **{field: changed[field]})
+    assert type(other) is type(node) and getattr(other, field) == changed[field]
+    assert other != node
+    assert all(getattr(other, n) is getattr(node, n) for n in names[1:])
+
+
+def test_var_keeps_its_default_name():
+    assert dataclasses.fields(Var)[0].default == "z"
+    assert Var().name == "z"
+
+
+@pytest.mark.parametrize("node, text, names", _NODES, ids=_NODE_IDS)
+@pytest.mark.parametrize("copy_of", [
+    lambda n: pickle.loads(pickle.dumps(n)),
+    copy.deepcopy,
+], ids=["pickle", "deepcopy"])
+def test_node_pickle_and_deepcopy_round_trips(node, text, names, copy_of):
+    twin = copy_of(node)
+    assert twin == node and hash(twin) == hash(node)
+    assert type(twin) is type(node) and repr(twin) == text
+    assert to_text(twin) == to_text(node)
