@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import operator
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
@@ -178,16 +179,23 @@ _POINT_MATCH_TOL = 1e-9
 # twice _POINT_MATCH_TOL. Scaling by a power of two is exact, so a point
 # within the tolerance of w lies in the 2 x 2 block of cells nearest w.
 _CELL_SCALE = 2.0**28
+# Cell (cx, cy) is keyed by the one int cx * 2**30 + cy. Construction keys
+# only points inside the disk, and index_of only blocks of points inside
+# the unit square, so |cx| and |cy| are at most 2**28 + 1, below 2**29:
+# the key is unique, and keys order cells by cx, then cy.
+_KEY_SCALE = 2**30
 
 
-def _block(w: complex) -> tuple[tuple[int, int], ...]:
-    """The cell of w, then the other three cells of the 2 x 2 block
-    nearest w."""
+def _block(w: complex) -> tuple[int, int, int, int]:
+    """The key of w's cell, then the keys of the other three cells of the
+    2 x 2 block nearest w."""
     fx, fy = w.real * _CELL_SCALE, w.imag * _CELL_SCALE
     cx, cy = math.floor(fx), math.floor(fy)
     ox = cx - 1 if fx - cx < 0.5 else cx + 1
     oy = cy - 1 if fy - cy < 0.5 else cy + 1
-    return ((cx, cy), (ox, cy), (cx, oy), (ox, oy))
+    cx *= _KEY_SCALE
+    ox *= _KEY_SCALE
+    return (cx + cy, ox + cy, cx + oy, ox + oy)
 
 
 @dataclass(frozen=True)
@@ -195,19 +203,22 @@ class GridDomain:
     """A finite set of distinct field points inside the radius-1/2 disk.
 
     Always contains the additive zero. ``preimages`` holds the points'
-    complex preimages, and a dict of cells of side 2**-28 (about 3.7e-9)
-    indexes them, so the distinctness check and ``index_of`` look only at
-    the 2 x 2 cells nearest a point, and construction is linear in the
-    number of points. Functions on the grid are stored as preimage tuples
+    complex preimages. Each point lies in one cell of side 2**-28 (about
+    3.7e-9), and one sorted tuple of ints, each a cell's key with the
+    point's index in its low bits, indexes them: the distinctness check
+    and ``index_of`` look only at the 2 x 2 cells nearest a point, so
+    building a domain is linear plus one sort, and ``index_of`` is four
+    bisections. Functions on the grid are stored as preimage tuples
     aligned with ``points``.
     """
 
     pair: GeneratorPair
     points: tuple[StarComplex, ...]
     preimages: tuple[complex, ...] = field(init=False, repr=False, compare=False)
-    _cells: dict[tuple[int, int], list[int]] = field(
-        init=False, repr=False, compare=False
-    )
+    # sorted (cell key << len(points).bit_length()) | index, one per point:
+    # the index fills the low bits, so a cell's entries are adjacent and
+    # ascend by index, negative keys included
+    _index: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.points:
@@ -228,22 +239,25 @@ class GridDomain:
         if not has_origin:
             raise ValueError("the grid must contain the additive zero")
         zs = tuple(p.value for p in self.points)
-        cells: dict[tuple[int, int], list[int]] = {}
+        cells: dict[int, list[int]] = {}
         close = []  # every (i, j) with i < j within the tolerance
         for j, w in enumerate(zs):
-            block = _block(w)
-            close += [
-                (i, j)
-                for cell in block
-                for i in cells.get(cell, ())
-                if abs(zs[i] - w) <= _POINT_MATCH_TOL
-            ]
-            cells.setdefault(block[0], []).append(j)
+            a, b, c, d = block = _block(w)
+            if a in cells or b in cells or c in cells or d in cells:
+                close += [
+                    (i, j)
+                    for cell in block
+                    for i in cells.get(cell, ())
+                    if abs(zs[i] - w) <= _POINT_MATCH_TOL
+                ]
+            cells.setdefault(a, []).append(j)
         if close:
             i, j = min(close)
             raise ValueError(f"grid points {i} and {j} coincide")
+        shift = len(zs).bit_length()
+        index = sorted(key << shift | j for key, js in cells.items() for j in js)
         object.__setattr__(self, "preimages", zs)
-        object.__setattr__(self, "_cells", cells)
+        object.__setattr__(self, "_index", tuple(index))
 
     def __len__(self) -> int:
         return len(self.points)
@@ -255,17 +269,26 @@ class GridDomain:
         w = z.value
         # every grid point lies in the unit square, so anything outside
         # it (NaN and infinities included) is off the grid; the test also
-        # keeps the cell arithmetic finite
+        # keeps the cell arithmetic finite and the cell keys unique
         if abs(w.real) <= 1.0 and abs(w.imag) <= 1.0:
             zs = self.preimages
-            hits = [
-                i
-                for cell in _block(w)
-                for i in self._cells.get(cell, ())
-                if abs(zs[i] - w) <= _POINT_MATCH_TOL
-            ]
-            if hits:
-                return min(hits)
+            index = self._index
+            n = len(zs)
+            shift = n.bit_length()
+            found = n
+            for key in _block(w):
+                base = key << shift
+                k = bisect_left(index, base)
+                # a cell's entries ascend by index, so its first hit is
+                # its lowest
+                while k < n and index[k] >> shift == key:
+                    i = index[k] - base
+                    if abs(zs[i] - w) <= _POINT_MATCH_TOL:
+                        found = min(found, i)
+                        break
+                    k += 1
+            if found < n:
+                return found
         raise ValueError(
             f"point with preimages {z.preimages} is not on the grid"
         )

@@ -1,16 +1,21 @@
-"""The grid layer: the hashed point lookup against the all-pairs check and
+"""The grid layer: the indexed point lookup against the all-pairs check and
 linear scan it replaced, the one guard over a function's preimages, and
 single-point reads that leave the rest of a function unbuilt."""
 
+import gc
 import math
+import sys
+import tracemalloc
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from staralg import (
     DomainMismatchError,
     EvaluationIdeal,
+    Generator,
     GeneratorOverflowError,
+    GeneratorPair,
     GridDomain,
     GridFunction,
     StarComplex,
@@ -51,7 +56,7 @@ def reference_check(points):
     has_origin = False
     for p in points:
         m = math.hypot(*p.preimages)
-        if m > 0.5 + 1e-12:
+        if not m <= 0.5 + 1e-12:  # a NaN modulus is outside too
             return (f"grid point with preimage modulus {m!r} is outside"
                     " the radius-1/2 disk")
         if m <= TOL:
@@ -192,6 +197,138 @@ def test_disk_domain_agrees_with_the_reference():
     assert reference_check(dom.points) is None
     for k in (0, 1, 400, len(dom) - 1):
         assert dom.index_of(dom.points[k]) == k
+
+
+# --- the index at its edges ---------------------------------------------------
+
+
+def _assert_matches_reference(zs, lookups):
+    """GridDomain on the points zs refuses as reference_check does, and
+    index_of agrees with reference_index_of at every lookup."""
+    points = tuple(StarComplex(II, w) for w in zs)
+    want = reference_check(points)
+    if want is not None:
+        with pytest.raises(ValueError) as e:
+            GridDomain(II, points)
+        assert str(e.value) == want
+        return
+    dom = GridDomain(II, points)
+    for w in lookups:
+        z = StarComplex(II, w)
+        i = reference_index_of(points, z)
+        if i is None:
+            with pytest.raises(ValueError, match="is not on the grid"):
+                dom.index_of(z)
+        else:
+            assert dom.index_of(z) == i
+
+
+_K = int(0.45 / CELL)  # cell indices whose cells lie inside the disk
+# lookups on the unit square's edges: at +1 a block reaches cell 2**28,
+# and at -1 cells -2**28 and -(2**28 + 1)
+_SQUARE_EDGES = (1, -1, 1j, -1j, 1 + 1j, -1 - 1j, 1 - 1j, -1 + 1j,
+                 complex(-1, 0.3), complex(0.3, -1))
+
+
+@st.composite
+def edge_point_sets(draw):
+    """The origin plus groups of points where the cell index is at its
+    edges: up to 3 x 3 valid points 1.1e-9 apart in one cell, points on
+    both sides of an axis, and points far outside the disk or NaN."""
+    zs = [0j]
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(("cell", "axis", "far")))
+        if kind == "cell":
+            corner = complex(draw(st.integers(-_K, _K)) * CELL,
+                             draw(st.integers(-_K, _K)) * CELL)
+            nx, ny = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+            zs += [corner + complex(0.2e-9 + 1.1e-9 * x, 0.2e-9 + 1.1e-9 * y)
+                   for x in range(nx) for y in range(ny)]
+        elif kind == "axis":
+            t = draw(st.floats(-0.49, 0.49))
+            a, b = draw(st.sampled_from(_STEPS)), draw(st.sampled_from(_STEPS))
+            pair = (complex(a, t), complex(-b, t))
+            zs += pair if draw(st.booleans()) else [w.imag + 1j * w.real for w in pair]
+        else:
+            zs.append(draw(st.sampled_from((
+                complex(1e308, 1e308), complex(1.5e308, 1.5e308),
+                complex(math.nan, 0.1), complex(0.1, math.nan),
+            ))))
+    return draw(st.permutations(zs))
+
+
+# nine valid points in one cell with a negative corner
+_FULL_CELL = [complex(-7 * CELL, -3 * CELL) + complex(0.2e-9 + 1.1e-9 * x,
+                                                      0.2e-9 + 1.1e-9 * y)
+              for x in range(3) for y in range(3)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_point_sets(), st.lists(_offsets, min_size=1, max_size=3))
+@example([0j] + _FULL_CELL, [0.0, 0.6 * TOL, -0.6j * TOL])
+def test_indexed_domain_matches_the_reference_at_its_edges(zs, offsets):
+    lookups = [w + d for w in zs for d in offsets] + list(_SQUARE_EDGES)
+    _assert_matches_reference(zs, lookups)
+
+
+def test_a_lattice_point_is_found_across_zero():
+    # the lattice point at angle 3*pi/2 has real part -9.2e-17, in the
+    # cell left of 0, and the lookup at exactly (0, -0.5) reaches it
+    for radial, angular in ((4, 4), (64, 64)):
+        dom = make_disk_domain(II, radial, angular)
+        z = StarComplex(II, complex(0.0, -0.5))
+        k = reference_index_of(dom.points, z)
+        assert dom.preimages[k].real < 0.0
+        assert dom.index_of(z) == k
+        for w in _SQUARE_EDGES:
+            with pytest.raises(ValueError, match="is not on the grid"):
+                dom.index_of(StarComplex(II, w))
+
+
+def test_points_far_outside_the_disk_are_refused_with_their_modulus():
+    for w, m in ((complex(1e308, 1e308), "1.4142135623730951e+308"),
+                 (complex(1.5e308, 1.5e308), "inf")):
+        with pytest.raises(ValueError) as e:
+            GridDomain(II, (zero(II), StarComplex(II, w)))
+        assert str(e.value) == (f"grid point with preimage modulus {m} is"
+                                " outside the radius-1/2 disk")
+
+
+def test_a_narrow_generator_refuses_the_lattice():
+    narrow = Generator("narrow", lambda t: t, lambda y: y, t_min=-0.25, t_max=0.25)
+    with pytest.raises(GeneratorOverflowError) as e:
+        make_disk_domain(GeneratorPair(narrow, narrow), 2, 8)
+    assert str(e.value) == (
+        "narrow: preimage 0.5 outside the working domain [-0.25, 0.25]"
+    )
+
+
+def test_a_domain_keeps_a_small_index():
+    # A 2049-point domain holds, per point: a StarComplex (48 bytes with
+    # its GC header), its complex (32), a slot in ``points`` and one in
+    # ``preimages`` (8 each), and one index entry. An entry is an int
+    # below 2**71 (a cell key below 2**59, shifted by 12 bits for the
+    # point's index): three 30-bit digits, 36 bytes, plus its slot in the
+    # index, 8 more. 80 bytes an entry leaves room for a fourth digit and
+    # the tuple's header, and 48 + 32 + 16 + 80 = 176 bytes a point is
+    # 352 KiB; 400 KiB leaves room for object sizes on other Pythons. A
+    # dict of cells took about 252 bytes a point.
+    make_disk_domain(II, 1, 4)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        dom = make_disk_domain(II, 32, 64)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(dom) == 2049
+    assert retained <= 400 * 1024
+    index = dom._index
+    assert len(index) == len(dom)
+    size = sys.getsizeof(index) + sum(map(sys.getsizeof, index))
+    assert size <= 80 * len(dom)
 
 
 # --- the guard over a function's preimages -----------------------------------

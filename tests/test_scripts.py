@@ -50,3 +50,14 @@ def test_profile_workload_lists_the_trial_runner():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("audit seed 5: 1 rounds, by self time")
     assert "(_run_trials)" in proc.stdout
+
+
+def test_profile_workload_memory_names_the_grid_layer():
+    proc = _run_script(
+        "profile_workload.py", "--workload", "lattice", "--seed", "5",
+        "--rounds", "1", "--memory",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("lattice seed 5: 1 rounds, traced peak ")
+    assert "top lines by retained size" in proc.stdout.splitlines()[0]
+    assert "algebra.py" in proc.stdout
