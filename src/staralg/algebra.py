@@ -14,7 +14,8 @@ import operator
 import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable
+from itertools import repeat
+from typing import Any, Callable, Iterable, Iterator
 
 from .errors import (
     DomainMismatchError,
@@ -186,6 +187,12 @@ _CELL_SCALE = 2.0**28
 _KEY_SCALE = 2**30
 
 
+def _value_over(pair: GeneratorPair, p: StarComplex) -> complex:
+    """p's preimages, once p is known to lie over pair."""
+    _same_pair(p.pair, pair)
+    return p.value
+
+
 def _block(w: complex) -> tuple[int, int, int, int]:
     """The key of w's cell, then the keys of the other three cells of the
     2 x 2 block nearest w."""
@@ -198,36 +205,48 @@ def _block(w: complex) -> tuple[int, int, int, int]:
     return (cx + cy, ox + cy, cx + oy, ox + oy)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class GridDomain:
-    """A finite set of distinct field points inside the radius-1/2 disk.
+    """A finite set of distinct field points inside the radius-1/2 disk,
+    stored as one tuple of their complex preimages.
 
-    Always contains the additive zero. ``preimages`` holds the points'
-    complex preimages. Each point lies in one cell of side 2**-28 (about
-    3.7e-9), and one sorted tuple of ints, each a cell's key with the
-    point's index in its low bits, indexes them: the distinctness check
-    and ``index_of`` look only at the 2 x 2 cells nearest a point, so
-    building a domain is linear plus one sort, and ``index_of`` is four
-    bisections. Functions on the grid are stored as preimage tuples
-    aligned with ``points``.
+    Always contains the additive zero. ``GridDomain(pair, points)`` takes
+    field points and ``of_preimages`` takes preimages; ``.points`` builds
+    the field points back when read. Each point lies in one cell of side
+    2**-28 (about 3.7e-9), and one sorted tuple of ints, each a cell's key
+    with the point's index in its low bits, indexes them: the
+    distinctness check and ``index_of`` look only at the 2 x 2 cells
+    nearest a point, so building a domain is linear plus one sort, and
+    ``index_of`` is four bisections. Functions on the grid are stored as
+    preimage tuples aligned with ``preimages``.
     """
 
     pair: GeneratorPair
-    points: tuple[StarComplex, ...]
-    preimages: tuple[complex, ...] = field(init=False, repr=False, compare=False)
-    # sorted (cell key << len(points).bit_length()) | index, one per point:
-    # the index fills the low bits, so a cell's entries are adjacent and
-    # ascend by index, negative keys included
-    _index: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    preimages: tuple[complex, ...]
+    # sorted (cell key << len(preimages).bit_length()) | index, one per
+    # point: the index fills the low bits, so a cell's entries are
+    # adjacent and ascend by index, negative keys included
+    _index: tuple[int, ...] = field(repr=False, compare=False)
 
-    def __post_init__(self):
-        if not self.points:
-            raise ValueError("a grid needs at least one point")
-        pair = self.pair
+    def __init__(self, pair: GeneratorPair, points: Iterable[StarComplex]):
+        self._fill(pair, map(_value_over, repeat(pair), points))
+
+    @classmethod
+    def of_preimages(cls, pair: GeneratorPair, zs: Iterable[complex]) -> GridDomain:
+        """The domain of the points with preimages zs, each passed
+        through ``pair.check``."""
+        dom = object.__new__(cls)
+        dom._fill(pair, map(pair.check, zs))
+        return dom
+
+    def _fill(self, pair: GeneratorPair, ws: Iterator[complex]) -> None:
+        """Set the fields from the preimages ws, which check each point
+        as it is read: one point's own check, then its modulus, comes
+        before the next point's."""
+        zs = []
         has_origin = False
-        for p in self.points:
-            _same_pair(p.pair, pair)
-            m = math.hypot(p.value.real, p.value.imag)
+        for w in ws:
+            m = math.hypot(w.real, w.imag)
             # written so that a NaN modulus is refused too
             if not m <= 0.5 + _GRID_SLACK:
                 raise ValueError(
@@ -236,9 +255,11 @@ class GridDomain:
                 )
             if m <= _POINT_MATCH_TOL:
                 has_origin = True
+            zs.append(w)
+        if not zs:
+            raise ValueError("a grid needs at least one point")
         if not has_origin:
             raise ValueError("the grid must contain the additive zero")
-        zs = tuple(p.value for p in self.points)
         cells: dict[int, list[int]] = {}
         close = []  # every (i, j) with i < j within the tolerance
         for j, w in enumerate(zs):
@@ -256,11 +277,16 @@ class GridDomain:
             raise ValueError(f"grid points {i} and {j} coincide")
         shift = len(zs).bit_length()
         index = sorted(key << shift | j for key, js in cells.items() for j in js)
-        object.__setattr__(self, "preimages", zs)
+        object.__setattr__(self, "pair", pair)
+        object.__setattr__(self, "preimages", tuple(zs))
         object.__setattr__(self, "_index", tuple(index))
 
+    @property
+    def points(self) -> tuple[StarComplex, ...]:
+        return tuple(map(StarComplex, repeat(self.pair), self.preimages))
+
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.preimages)
 
     def index_of(self, z: StarComplex) -> int:
         """Index of the grid point matching z within 1e-9 on preimages;
@@ -308,18 +334,18 @@ def make_disk_domain(
         raise ValueError("radial_steps must be at least 1")
     if angular_steps < 3:
         raise ValueError("angular_steps must be at least 3")
-    pts = [from_preimages(pair, 0.0, 0.0)]
+    zs = [0j]
     for k in range(1, radial_steps + 1):
         r = k / (2.0 * radial_steps)
         for j in range(angular_steps):
             th = 2.0 * math.pi * j / angular_steps
-            pts.append(from_preimages(pair, r * math.cos(th), r * math.sin(th)))
-    return GridDomain(pair, tuple(pts))
+            zs.append(complex(r * math.cos(th), r * math.sin(th)))
+    return GridDomain.of_preimages(pair, zs)
 
 
 def _check_length(dom: GridDomain, n: int) -> None:
-    if n != len(dom.points):
-        raise ValueError(f"{n} values for {len(dom.points)} points")
+    if n != len(dom):
+        raise ValueError(f"{n} values for {len(dom)} points")
 
 
 @dataclass(frozen=True, init=False)
@@ -357,8 +383,7 @@ class GridFunction:
 
     @property
     def values(self) -> tuple[StarComplex, ...]:
-        pair = self.domain.pair
-        return tuple(StarComplex(pair, w) for w in self.preimages)
+        return tuple(map(StarComplex, repeat(self.domain.pair), self.preimages))
 
     def at(self, i: int) -> StarComplex:
         """The value at the i-th grid point."""

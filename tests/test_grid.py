@@ -2,8 +2,12 @@
 linear scan it replaced, the one guard over a function's preimages, and
 single-point reads that leave the rest of a function unbuilt."""
 
+import contextlib
+import dataclasses
 import gc
+import io
 import math
+import random
 import sys
 import tracemalloc
 
@@ -18,6 +22,7 @@ from staralg import (
     GeneratorPair,
     GridDomain,
     GridFunction,
+    PairMismatchError,
     StarComplex,
     StarError,
     StarUnderflowError,
@@ -38,8 +43,10 @@ from staralg import (
     pair_of,
     quotient_map,
     quotient_norm,
+    sup_norm,
     zero,
 )
+from staralg import cli
 
 II = pair_of("identity", "identity")
 TOL = 1e-9
@@ -304,15 +311,15 @@ def test_a_narrow_generator_refuses_the_lattice():
 
 
 def test_a_domain_keeps_a_small_index():
-    # A 2049-point domain holds, per point: a StarComplex (48 bytes with
-    # its GC header), its complex (32), a slot in ``points`` and one in
-    # ``preimages`` (8 each), and one index entry. An entry is an int
-    # below 2**71 (a cell key below 2**59, shifted by 12 bits for the
-    # point's index): three 30-bit digits, 36 bytes, plus its slot in the
-    # index, 8 more. 80 bytes an entry leaves room for a fourth digit and
-    # the tuple's header, and 48 + 32 + 16 + 80 = 176 bytes a point is
-    # 352 KiB; 400 KiB leaves room for object sizes on other Pythons. A
-    # dict of cells took about 252 bytes a point.
+    # A 2049-point domain holds, per point: its complex preimage (32
+    # bytes), its slot in ``preimages`` (8) and one index entry. An entry
+    # is an int below 2**71 (a cell key below 2**59, shifted by 12 bits
+    # for the point's index): three 30-bit digits, 36 bytes, plus its slot
+    # in the index, 8 more, so 32 + 8 + 44 = 84 bytes a point, about
+    # 168 KiB; 200 KiB leaves room for object sizes on other Pythons. The
+    # field points are built when read, not kept: keeping them took a
+    # StarComplex (48 bytes) and a slot (8) more a point, 284 KiB in all.
+    # A dict of cells took about 252 bytes a point.
     make_disk_domain(II, 1, 4)
     gc.collect()
     tracemalloc.start()
@@ -324,11 +331,192 @@ def test_a_domain_keeps_a_small_index():
     finally:
         tracemalloc.stop()
     assert len(dom) == 2049
-    assert retained <= 400 * 1024
+    assert retained <= 200 * 1024
     index = dom._index
     assert len(index) == len(dom)
     size = sys.getsizeof(index) + sum(map(sys.getsizeof, index))
     assert size <= 80 * len(dom)
+
+
+# --- the two constructors ----------------------------------------------------
+
+EE = pair_of("exp", "exp")
+PAIRS = (II, pair_of("identity", "exp"), EE)
+# identity on the alpha line and [-0.25, 0.25] on the beta line: a point
+# can pass the pair's check and leave the disk, or stay inside the disk
+# and fail the check
+_NARROW = Generator("narrow", lambda t: t, lambda y: y, t_min=-0.25, t_max=0.25)
+IN = GeneratorPair(II.alpha, _NARROW)
+_DISK = "is outside the radius-1/2 disk"
+
+
+def _outcome(build):
+    """build()'s domain, or the class and message of what it raised."""
+    try:
+        return build()
+    except (StarError, ValueError) as e:
+        return type(e), str(e)
+
+
+def reference_preimage_check(pair, zs):
+    """of_preimages' refusal as (class, message), or None: point by point,
+    the pair's check first and the disk second, then reference_check's
+    origin and coincidence checks."""
+    points = tuple(StarComplex(pair, w) for w in zs)
+    for k, w in enumerate(zs):
+        failed = _outcome(lambda: pair.check(w))
+        if isinstance(failed, tuple):
+            want = reference_check(points[:k])
+            if want is not None and want.endswith(_DISK):
+                return ValueError, want
+            return failed
+    want = reference_check(points)
+    return None if want is None else (ValueError, want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(point_sets(), edge_point_sets()), st.sampled_from(PAIRS))
+def test_both_constructors_build_the_same_domain(zs, pair):
+    points = tuple(StarComplex(pair, w) for w in zs)
+    dom = _outcome(lambda: GridDomain(pair, points))
+    twin = _outcome(lambda: GridDomain.of_preimages(pair, zs))
+    want = reference_check(points)
+    if want is not None:
+        assert dom == (ValueError, want)
+    refused = twin if isinstance(twin, tuple) else None
+    assert refused == reference_preimage_check(pair, zs)
+    if want is not None or refused is not None:
+        return
+    assert dom == twin and hash(dom) == hash(twin)
+    assert len(dom) == len(twin) == len(zs)
+    assert dom.preimages == twin.preimages == tuple(zs)
+    assert dom._index == twin._index
+    assert dom.points == twin.points == points
+    for p in points:
+        assert dom.index_of(p) == twin.index_of(p) == reference_index_of(points, p)
+
+
+def _z(w):
+    return StarComplex(II, complex(w))
+
+
+# (field points, class, message) for GridDomain(pair, points): an empty
+# tuple first, then each point in turn, its pair before its modulus, then
+# the origin, then coincident points
+_POINT_REFUSALS = [
+    ((), ValueError, "a grid needs at least one point"),
+    ((zero(II), zero(EE)), PairMismatchError,
+     "cannot combine points over ('exp', 'exp') and ('identity', 'identity')"),
+    ((zero(II), _z(complex(math.nan, 0.1))), ValueError,
+     f"grid point with preimage modulus nan {_DISK}"),
+    ((zero(II), _z(complex(1.5e308, 1.5e308))), ValueError,
+     f"grid point with preimage modulus inf {_DISK}"),
+    ((_z(0.25),), ValueError, "the grid must contain the additive zero"),
+    ((zero(II), _z(0.1), _z(0.1 + 0.5 * TOL)), ValueError,
+     "grid points 1 and 2 coincide"),
+    # the first bad point decides, whichever check it fails
+    ((zero(II), _z(0.6), zero(EE)), ValueError,
+     f"grid point with preimage modulus 0.6 {_DISK}"),
+    ((zero(II), zero(EE), _z(0.6)), PairMismatchError,
+     "cannot combine points over ('exp', 'exp') and ('identity', 'identity')"),
+    # the disk before the origin, the origin before coincidence
+    ((_z(0.25), _z(0.6)), ValueError,
+     f"grid point with preimage modulus 0.6 {_DISK}"),
+    ((_z(0.1), _z(0.1)), ValueError, "the grid must contain the additive zero"),
+]
+
+
+@pytest.mark.parametrize("points, cls, message", _POINT_REFUSALS)
+def test_a_domain_of_points_refuses_as_before(points, cls, message):
+    with pytest.raises(cls) as e:
+        GridDomain(II, points)
+    assert type(e.value) is cls and str(e.value) == message
+
+
+_NARROW_04 = "narrow: preimage 0.4 outside the working domain [-0.25, 0.25]"
+_IDENTITY_NAN = (
+    "identity: preimage nan outside the working domain"
+    " [-1.7976931348623157e+308, 1.7976931348623157e+308]"
+)
+
+# (pair, preimages, class, message) for of_preimages: each preimage
+# through the pair's check, with the check's own text, then its modulus
+_PREIMAGE_REFUSALS = [
+    (II, (), ValueError, "a grid needs at least one point"),
+    (IN, (0j, 0.4j), GeneratorOverflowError, _NARROW_04),
+    (II, (0j, complex(math.nan, 0.1)), GeneratorOverflowError, _IDENTITY_NAN),
+    (II, (0j, complex(1.5e308, 1.5e308)), ValueError,
+     f"grid point with preimage modulus inf {_DISK}"),
+    (IN, (0j, 0.6 + 0j, 0.4j), ValueError,
+     f"grid point with preimage modulus 0.6 {_DISK}"),
+    (IN, (0j, 0.4j, 0.6 + 0j), GeneratorOverflowError, _NARROW_04),
+    (II, (0.25 + 0j,), ValueError, "the grid must contain the additive zero"),
+    (II, (0j, 0.1 + 0j, 0.1 + 0.5 * TOL), ValueError,
+     "grid points 1 and 2 coincide"),
+]
+
+
+@pytest.mark.parametrize("pair, zs, cls, message", _PREIMAGE_REFUSALS)
+def test_a_domain_of_preimages_refuses_with_the_checks_text(pair, zs, cls, message):
+    with pytest.raises(cls) as e:
+        GridDomain.of_preimages(pair, zs)
+    assert type(e.value) is cls and str(e.value) == message
+
+
+def test_the_fields_of_a_domain_keep_their_names():
+    assert [f.name for f in dataclasses.fields(GridDomain)] == [
+        "pair", "preimages", "_index",
+    ]
+
+
+@pytest.mark.parametrize("pair", PAIRS)
+def test_a_disk_domain_is_the_domain_of_its_field_points(pair):
+    for radial, angular in ((1, 3), (2, 8), (16, 48)):
+        dom = make_disk_domain(pair, radial, angular)
+        points = [from_preimages(pair, 0.0, 0.0)]
+        for k in range(1, radial + 1):
+            r = k / (2.0 * radial)
+            for j in range(angular):
+                th = 2.0 * math.pi * j / angular
+                points.append(from_preimages(pair, r * math.cos(th), r * math.sin(th)))
+        twin = GridDomain(pair, points)
+        assert dom == twin and dom._index == twin._index
+        assert dom.points == twin.points == tuple(points)
+
+
+def test_points_are_built_on_each_read():
+    points = [zero(II), _z(0.25), _z(0.25j)]
+    dom = GridDomain(II, points)
+    assert dom.points == dom.points == tuple(points)
+    assert dom.points is not dom.points
+    assert repr(dom).startswith("GridDomain(pair=GeneratorPair(identity, identity),"
+                                " preimages=(0j, (0.25+0j), 0.25j))")
+    with pytest.raises(TypeError):
+        dataclasses.replace(dom, pair=II)
+
+
+def test_no_lattice_operation_builds_the_domains_points(monkeypatch):
+    def refuse(dom):
+        raise AssertionError("GridDomain.points was read")
+
+    monkeypatch.setattr(GridDomain, "points", property(refuse))
+    for pair in PAIRS:
+        dom = make_disk_domain(pair, 4, 16)
+        f = coordinate_function(dom)
+        g = GridFunction(dom, f.values)
+        h = GridFunction.of_preimages(dom, f.preimages)
+        fn_mul(fn_add(f, g), fn_involution(h))
+        fn_scalar_mul(one(pair), grid_constant(dom, one(pair)))
+        sup_norm(f)
+        at = f.at(5)
+        quotient_norm(f, EvaluationIdeal(dom, at))
+        evaluation_functional(dom, at)
+        grid_algebra(dom).sample(random.Random(1))
+    for argv in (["grid", "z*z", "--json"],
+                 ["quotient", "z*z-(0.25,0)", "--at", "(0,0.5)"]):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(argv) == 0
 
 
 # --- the guard over a function's preimages -----------------------------------
